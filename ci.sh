@@ -15,7 +15,10 @@ cargo test -q --test oplog_determinism
 cargo test -q -p oplog
 cargo clippy --all-targets -- -D warnings
 cargo bench --no-run
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+# The benchmark's schema self-check; also compiles it against the crates'
+# public API, so a change that breaks the benchmark fails here.
+cargo test -q --manifest-path perfbench/Cargo.toml
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p chatbot-audit-repro -p sched
 # The deprecated batch drain() must keep steering callers at the
 # always-on daemon loop in its rendered deprecation note.
 grep -q 'superseded by the always-on loop' target/doc/sched/struct.Scheduler.html

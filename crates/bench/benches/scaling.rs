@@ -39,8 +39,8 @@ fn bench_scaling(c: &mut Criterion) {
     }
     group.finish();
 
-    // Worker-count sweep: the same static pipeline (sharded crawl +
-    // work-stealing analysis) over a fixed 1,000-bot world.
+    // Worker-count sweep: the same static pipeline (crawl units and
+    // analyses on one claim-counter pool) over a fixed 1,000-bot world.
     let mut group = c.benchmark_group("scaling/static_pipeline_workers");
     group.sample_size(10);
     for workers in [1usize, 2, 4, 8] {

@@ -160,15 +160,14 @@ fn want(args: &Args, what: &str) -> bool {
     args.only.as_deref().map(|o| o == what).unwrap_or(true)
 }
 
-/// An [`AuditConfig`] with every `workers` knob (crawl shards, analysis
-/// pool, honeypot campaigns) set to `workers`.
+/// An [`AuditConfig`] with every `workers` knob (the crawl-unit and
+/// analysis pool, honeypot campaigns) set to `workers`.
 fn audit_config(honeypot_sample: usize, workers: usize) -> AuditConfig {
     let mut config = AuditConfig {
         honeypot_sample,
         ..AuditConfig::default()
     };
     config.workers = workers;
-    config.crawl.workers = workers;
     config.honeypot.workers = workers;
     config
 }

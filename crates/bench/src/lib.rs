@@ -29,13 +29,12 @@ pub fn prepare_world(num_bots: usize, seed: u64) -> PreparedWorld {
     prepare_world_workers(num_bots, seed, 1)
 }
 
-/// [`prepare_world`] with every `workers` knob (crawl shards, analysis
-/// pool, honeypot campaigns) set to `workers`.
+/// [`prepare_world`] with every `workers` knob (the crawl-unit and
+/// analysis pool, honeypot campaigns) set to `workers`.
 pub fn prepare_world_workers(num_bots: usize, seed: u64, workers: usize) -> PreparedWorld {
     let eco = build_ecosystem(&EcosystemConfig::test_scale(num_bots, seed));
     let mut config = AuditConfig::default();
     config.workers = workers;
-    config.crawl.workers = workers;
     config.honeypot.workers = workers;
     let pipeline = AuditPipeline::new(config);
     let (bots, stats) = pipeline.run_static_stages(&eco.net);

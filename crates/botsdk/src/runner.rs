@@ -7,10 +7,10 @@
 //! bots work when each backend runs on its own thread, as real ones do.
 
 use crate::behavior::{Behavior, BotApi};
-use crossbeam::channel::Receiver;
 use discord_sim::gateway::GatewayEvent;
 use discord_sim::{Platform, PlatformResult, UserId};
 use netsim::Network;
+use std::sync::mpsc::Receiver;
 
 /// One connected bot: account + gateway + backend behaviour.
 pub struct Bot {
@@ -114,10 +114,10 @@ impl BotRunner {
     /// total events processed. Determinism is *not* guaranteed here — that
     /// is the point of the test that uses it.
     pub fn run_threaded_burst(&mut self, quiesce_polls: u32) -> usize {
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for bot in &mut self.bots {
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     let mut handled = 0;
                     let mut idle_polls = 0;
                     while idle_polls < quiesce_polls {
@@ -138,7 +138,6 @@ impl BotRunner {
                 .map(|h| h.join().expect("bot thread panicked"))
                 .sum()
         })
-        .expect("scope")
     }
 }
 

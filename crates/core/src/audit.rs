@@ -114,14 +114,15 @@ impl Audit {
 
     /// Build the world and run every stage (crawl → traceability → code →
     /// honeypot), returning the canonical, worker-count-independent report.
+    /// The stages run journaled over a throwaway store, which keeps nothing.
     pub fn run(&self) -> Result<CanonicalReport, AuditError> {
         let eco = self.world();
         Ok(self.pipeline().run_full(&eco).canonical())
     }
 
     /// Like [`Self::run`], but journaled through the crash-safe store set
-    /// with [`AuditBuilder::store`] (an in-memory store when unset): a run
-    /// interrupted at any frame surfaces [`AuditError::Interrupted`] and
+    /// with [`AuditBuilder::store`] (an in-memory `MemBackend` when unset):
+    /// a run interrupted at any frame surfaces [`AuditError::Interrupted`] and
     /// resumes — against the same backend, with
     /// [`StoreConfig::resuming`] — into a byte-identical report.
     pub fn run_resumable(&self) -> Result<CanonicalReport, AuditError> {
@@ -323,12 +324,11 @@ impl AuditBuilder {
 
     // ---- analysis ------------------------------------------------------
 
-    /// Worker count for every parallel stage (crawl shards, the analysis
-    /// pool, honeypot campaigns): 1 = serial, N = a pool of N, 0 = one per
-    /// core. Output is byte-identical regardless.
+    /// Worker count for every parallel stage (the pool that runs crawl
+    /// units and analyses, honeypot campaigns): 1 = serial, N = a pool of
+    /// N, 0 = one per core. Output is byte-identical regardless.
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers;
-        self.config.crawl.workers = workers;
         self.config.honeypot.workers = workers;
         self
     }
@@ -562,7 +562,6 @@ mod tests {
     fn workers_knob_fans_out_to_every_stage() {
         let audit = small().workers(4).build().unwrap();
         assert_eq!(audit.config().workers, 4);
-        assert_eq!(audit.config().crawl.workers, 4);
         assert_eq!(audit.config().honeypot.workers, 4);
     }
 }

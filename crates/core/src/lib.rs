@@ -21,8 +21,10 @@
 //! * [`service`] — the legacy batch facade over the daemon:
 //!   [`FleetService`] submits and drains, re-audits drifted worlds
 //!   incrementally, and emits [`DeltaReport`]s;
-//! * [`pipeline`] — stage orchestration over a mounted world (the `synth`
-//!   ecosystem or any compatible set of services);
+//! * [`pipeline`] — the stages and their configuration;
+//! * [`resume`] — the one stage graph that runs them over a mounted world
+//!   (the `synth` ecosystem or any compatible set of services), journaled
+//!   through a crash-safe store or a throwaway one;
 //! * [`stats`] — the aggregations behind every table and figure in §4.2;
 //! * [`report`] — per-bot risk findings and paper-style table rendering;
 //! * [`validate`] — something the paper could not do: score each analyzer
@@ -61,8 +63,8 @@ pub use report::{
     CanonicalReport, RiskFlag, RiskReport,
 };
 pub use resume::{
-    run_fingerprint, ResumableOutcome, ResumeError, CRAWL_UNIT_SIZE, K_ANALYSIS, K_COMPLETE,
-    K_CRAWL_UNIT, K_HONEYPOT, K_LISTING,
+    run_fingerprint, ResumableOutcome, ResumeError, K_ANALYSIS, K_COMPLETE, K_CRAWL_UNIT,
+    K_HONEYPOT, K_LISTING,
 };
 pub use service::{
     platform_breakdown, AuditJob, FleetConfig, FleetService, JobOutcome, PlatformBreakdown,

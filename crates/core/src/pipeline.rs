@@ -1,28 +1,27 @@
-//! Stage orchestration.
+//! The audit's stages and their configuration.
 //!
-//! Stage 1 (data collection) shards inside [`crawl_listing`]. Stages 2 and
-//! 3 (traceability + code analysis) run here on a claim-counter worker
-//! pool: each worker owns its HTTP client, repeatedly claims the next
-//! unprocessed bot, and writes the audited result into that bot's slot, so
-//! output order — and therefore the serialized report — is independent of
-//! scheduling. Workers share a [`LinkCache`] and an [`AnalysisMemo`], so
-//! repeated GitHub links and boilerplate policies are resolved/scanned once
-//! across the whole population.
+//! The paper's pipeline is one chain (§3, Fig. 1): crawl → traceability →
+//! code analysis → honeypot. This module defines the per-bot analysis
+//! stage (traceability, then code analysis through caches shared across
+//! the population), the honeypot stage ([`AuditPipeline::run_honeypot`]),
+//! and the configuration and report types they share. One stage graph
+//! runs them, in [`crate::resume`]: every audit is a journaled audit, and
+//! an in-memory one ([`AuditPipeline::run_full`],
+//! [`AuditPipeline::run_static_stages`]) is a journaled audit over a
+//! throwaway store.
 
 use codeanal::github::LinkOutcome;
 use codeanal::scanner::{scan_repository, ScanReport};
 use codeanal::{Language, LinkCache, ScannerKernelStats};
-use crawler::crawl::{crawl_listing_traced, resolve_workers, CrawlConfig, CrawlStats, CrawledBot};
+use crawler::crawl::{CrawlConfig, CrawlStats, CrawledBot};
 use honeypot::campaign::{BotUnderTest, Campaign, CampaignConfig, CampaignReport, GuildSnapshot};
 use honeypot::DiscordSubstrate;
 use netsim::client::{ClientConfig, HttpClient};
 use netsim::Network;
 use obs::{Obs, Span};
-use parking_lot::Mutex;
 use platform::PlatformKind;
 use policy::{AnalysisMemo, KeywordOntology, OntologyKernelStats, TraceabilityReport};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use synth::Ecosystem;
 use telegram_sim::TelegramSubstrate;
 
@@ -98,9 +97,9 @@ pub struct AuditConfig {
     pub honeypot: CampaignConfig,
     /// How many most-voted bots the honeypot samples (paper: 500).
     pub honeypot_sample: usize,
-    /// Analysis workers for stages 2/3: 1 = serial, N = a claim-counter
-    /// pool of N, 0 = one per available core. Output is identical to the
-    /// serial pipeline regardless of the setting.
+    /// Workers for the crawl's detail units and the per-bot analyses: 1 =
+    /// serial, N = a claim-counter pool of N, 0 = one per available core.
+    /// Output is identical to the serial pipeline regardless of the setting.
     pub workers: usize,
 }
 
@@ -158,19 +157,26 @@ impl AuditPipeline {
 
     /// Stage 2 + 3 for one bot: traceability against the requested
     /// permissions, then code analysis through the shared caches.
-    pub(crate) fn audit_one(
+    pub(crate) fn analyze_one(
         &self,
-        bot: CrawledBot,
+        bot: &CrawledBot,
         gh_client: &mut HttpClient,
         links: &LinkCache,
         memo: &AnalysisMemo,
-    ) -> AuditedBot {
+    ) -> (TraceabilityReport, Option<CodeFinding>) {
         // Stage 2: traceability — compare the policy (if any) against
         // the permissions the install page requests.
         let requested = bot.invite_status.permission_names();
         let traceability = memo.analyze(bot.policy.as_ref(), &requested, &self.config.ontology);
 
         // Stage 3: code analysis.
+        let unscanned = |resolution| CodeFinding {
+            resolution,
+            language: None,
+            has_source: false,
+            performs_checks: None,
+            scan: None,
+        };
         let code = bot
             .scraped
             .github
@@ -186,34 +192,11 @@ impl AuditPipeline {
                         scan: Some(scan),
                     }
                 }
-                LinkOutcome::UserProfile => CodeFinding {
-                    resolution: LinkResolution::UserProfile,
-                    language: None,
-                    has_source: false,
-                    performs_checks: None,
-                    scan: None,
-                },
-                LinkOutcome::NoPublicRepos => CodeFinding {
-                    resolution: LinkResolution::NoPublicRepos,
-                    language: None,
-                    has_source: false,
-                    performs_checks: None,
-                    scan: None,
-                },
-                LinkOutcome::Invalid => CodeFinding {
-                    resolution: LinkResolution::Invalid,
-                    language: None,
-                    has_source: false,
-                    performs_checks: None,
-                    scan: None,
-                },
+                LinkOutcome::UserProfile => unscanned(LinkResolution::UserProfile),
+                LinkOutcome::NoPublicRepos => unscanned(LinkResolution::NoPublicRepos),
+                LinkOutcome::Invalid => unscanned(LinkResolution::Invalid),
             });
-
-        AuditedBot {
-            crawled: bot,
-            traceability,
-            code,
-        }
+        (traceability, code)
     }
 
     pub(crate) fn analysis_client(&self, net: &Network) -> HttpClient {
@@ -226,96 +209,6 @@ impl AuditPipeline {
                 ..ClientConfig::crawler("code-analysis/1.0")
             },
         )
-    }
-
-    /// Run data collection + traceability + code analysis against a
-    /// mounted world.
-    ///
-    /// Opens a `static` root span on the pipeline's [`Obs`]: the crawl
-    /// traces under it (per-page / per-detail children), and the analysis
-    /// pool adds one `worker` child per pool worker with per-bot `bot`
-    /// children keyed by listing index. Worker spans merge in the canonical
-    /// trace, so the dump is byte-identical at any worker count.
-    /// Memoization and kernel counters land in the registry under
-    /// `analysis.*`, `policy.*`, and `code.*`.
-    pub fn run_static_stages(&self, net: &Network) -> (Vec<AuditedBot>, CrawlStats) {
-        let root = self.obs.span("static");
-
-        // Stage 1: data collection.
-        let (crawled, stats) = crawl_listing_traced(net, &self.config.crawl, &self.obs, &root);
-
-        // Kernel counters are cumulative (per ontology instance / process-
-        // wide for the scanner), so snapshot before and publish deltas.
-        let policy_before = self.config.ontology.kernel_stats();
-        let code_before = codeanal::scanner_kernel_stats();
-
-        let links = LinkCache::new();
-        let memo = AnalysisMemo::new();
-        let workers = resolve_workers(self.config.workers);
-
-        let analysis_span = root.child("analysis");
-        let bots = if workers <= 1 || crawled.len() <= 1 {
-            // The serial path still opens one `worker` span so its trace
-            // merges byte-identically with a pooled run's worker spans.
-            let worker_span = analysis_span.child("worker");
-            let mut gh_client = self.analysis_client(net);
-            let bots: Vec<AuditedBot> = crawled
-                .into_iter()
-                .enumerate()
-                .map(|(idx, bot)| {
-                    let bot_span = worker_span.child_keyed("bot", idx as u64);
-                    let audited = self.audit_one(bot, &mut gh_client, &links, &memo);
-                    trace_audited(&bot_span, &audited);
-                    audited
-                })
-                .collect();
-            worker_span.record("bots", bots.len() as u64);
-            bots
-        } else {
-            // Claim-counter pool: each worker owns a client and repeatedly
-            // claims the next unclaimed bot, so fast bots (no GitHub link,
-            // no policy) don't leave a statically-assigned worker idle
-            // while another grinds through repo downloads.
-            let jobs: Vec<Mutex<Option<CrawledBot>>> =
-                crawled.into_iter().map(|b| Mutex::new(Some(b))).collect();
-            let slots: Vec<Mutex<Option<AuditedBot>>> =
-                (0..jobs.len()).map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            crossbeam::thread::scope(|s| {
-                for _ in 0..workers.min(jobs.len()) {
-                    let (jobs, slots, next) = (&jobs, &slots, &next);
-                    let (links, memo) = (&links, &memo);
-                    let analysis_span = &analysis_span;
-                    s.spawn(move |_| {
-                        let worker_span = analysis_span.child("worker");
-                        let mut processed = 0u64;
-                        let mut gh_client = self.analysis_client(net);
-                        loop {
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            if idx >= jobs.len() {
-                                break;
-                            }
-                            let bot = jobs[idx].lock().take().expect("job claimed once");
-                            let bot_span = worker_span.child_keyed("bot", idx as u64);
-                            let audited = self.audit_one(bot, &mut gh_client, links, memo);
-                            trace_audited(&bot_span, &audited);
-                            processed += 1;
-                            *slots[idx].lock() = Some(audited);
-                        }
-                        worker_span.record("bots", processed);
-                    });
-                }
-            })
-            .expect("analysis scope");
-            slots
-                .into_iter()
-                .map(|slot| slot.into_inner().expect("every slot filled"))
-                .collect()
-        };
-        drop(analysis_span);
-
-        self.publish_analysis_metrics(&links, &memo, policy_before, code_before);
-        (bots, stats)
     }
 
     /// Mirror the shared-cache and kernel counters from one analysis run
@@ -471,18 +364,6 @@ impl AuditPipeline {
                     .collect();
                 campaign.run_traced_with_reuse(bots, &self.obs, &root, reuse)
             }
-        }
-    }
-
-    /// Run everything.
-    pub fn run_full(&self, eco: &Ecosystem) -> AuditReport {
-        let (bots, crawl_stats) = self.run_static_stages(&eco.net);
-        let honeypot = Some(self.run_honeypot(eco));
-        AuditReport {
-            platform: eco.kind,
-            bots,
-            crawl_stats,
-            honeypot,
         }
     }
 }

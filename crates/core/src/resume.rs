@@ -1,41 +1,50 @@
-//! The resumable incremental pipeline.
+//! The stage graph: one path for every audit.
 //!
 //! The paper's measurement ran for weeks and was restarted many times; every
-//! restart re-paid crawl and analysis work. This module routes the pipeline
-//! of [`crate::pipeline`] through a [`store::AuditStore`]: each completed
-//! unit of work — the listing traversal, every fixed-size chunk of detail
-//! pages, every per-bot analysis, the honeypot campaign — is durably
-//! journaled the moment it finishes, and analysis outputs live in a
-//! content-addressed artifact cache keyed by the bot's crawled bytes.
+//! restart re-paid crawl and analysis work. Every audit therefore runs
+//! through an [`AuditStore`]: each completed unit of work — the listing
+//! traversal, every fixed-size chunk of detail pages, every per-bot
+//! analysis, the honeypot campaign — is journaled the moment it finishes,
+//! and analysis outputs live in a content-addressed artifact cache keyed by
+//! the bot's crawled bytes. An in-memory audit ([`AuditPipeline::run_full`],
+//! [`AuditPipeline::run_static_stages`], `Audit::run`) is the same journaled
+//! audit over a throwaway store ([`AuditStore::throwaway`]), which replays
+//! nothing and keeps nothing.
 //!
-//! Two properties follow, and the test suite pins both down:
+//! The graph has two halves. The static half crawls (the listing, then the
+//! detail units) and analyzes each bot; detail units and analyses fan out
+//! on one claim-counter pool ([`AuditConfig::workers`] threads). The
+//! dynamic half runs the honeypot campaign.
 //!
+//! Three properties follow, and the test suite pins them down:
+//!
+//! * **Worker-count independence.** Detail pages crawl in fixed
+//!   [`CRAWL_UNIT_SIZE`] chunks whose sessions depend only on the crawl
+//!   seed and chunk index, and analyses are keyed by listing index, so the
+//!   report, the trace and the journal layout are the same at any worker
+//!   count.
 //! * **Crash-equivalence.** A run killed after any number of frames, then
 //!   resumed, produces a canonical report byte-identical to an uninterrupted
-//!   run. This leans on the fabric's guarantee (proved by the
-//!   sharded-vs-serial tests) that request *content* is independent of
-//!   request scheduling, so skipping already-journaled requests does not
-//!   perturb the remainder.
+//!   run: request *content* is independent of request scheduling, so
+//!   skipping already-journaled requests does not perturb the remainder.
 //! * **Incrementality.** A fresh (non-resumed) run against a warm artifact
 //!   pack re-crawls but performs **zero** policy or code re-analyses for
 //!   unchanged bots — the artifact counters in [`store::StoreStats`] (also
 //!   mirrored into the pipeline's obs registry under `store.*`) prove it.
-//!
-//! Journal layout is worker-count independent: detail pages are journaled in
-//! fixed [`CRAWL_UNIT_SIZE`] chunks whose session seeds depend only on the
-//! crawl seed and chunk index, and analyses are journaled per listing index.
 
 use crate::pipeline::{AuditConfig, AuditPipeline, AuditReport, AuditedBot, CodeFinding};
 use codeanal::LinkCache;
 use crawler::crawl::{
     crawl_detail_unit_traced, discover_listing_traced, resolve_workers, CrawlStats, CrawledBot,
-    DetailUnit, ListingIndex, SessionOverhead,
+    DetailUnit, ListingIndex, CRAWL_UNIT_SIZE,
 };
 use crawler::incremental::{
     crawl_detail_unit_validated, discover_listing_validated, fetch_changed_hrefs, ValidatorStore,
 };
 use honeypot::campaign::{CampaignReport, GuildSnapshot};
-use obs::Severity;
+use netsim::client::HttpClient;
+use netsim::Network;
+use obs::{Severity, Span};
 use parking_lot::Mutex;
 use policy::{AnalysisMemo, DataPractice, TraceabilityReport};
 use serde::{Deserialize, Serialize};
@@ -60,11 +69,6 @@ pub const K_ANALYSIS: u16 = 0x0012;
 pub const K_HONEYPOT: u16 = 0x0013;
 /// Journal frame kind: run-complete marker. Key 0.
 pub const K_COMPLETE: u16 = 0x0014;
-
-/// Detail hrefs per journaled crawl unit. Fixed (never derived from the
-/// worker count) so the journal layout is identical whatever parallelism
-/// produced it.
-pub const CRAWL_UNIT_SIZE: usize = 32;
 
 /// Where and how a resumable run persists.
 #[derive(Clone)]
@@ -175,7 +179,7 @@ struct AnalysisArtifact {
 }
 
 /// Digest of everything that shapes measurement *content*. Parallelism
-/// knobs (`crawl.workers`, `workers`, `honeypot.workers`) are deliberately
+/// knobs (`workers`, `honeypot.workers`) are deliberately
 /// excluded: output is byte-identical across worker counts, so a journal
 /// written at `--workers 8` resumes correctly at `--workers 1`.
 pub fn run_fingerprint(config: &AuditConfig, world_seed: u64) -> u64 {
@@ -186,7 +190,8 @@ pub fn run_fingerprint(config: &AuditConfig, world_seed: u64) -> u64 {
         .map(|p| format!("{p:?}={}", config.ontology.keywords(*p).join(",")))
         .collect();
     let text = format!(
-        "platform={}|crawl(max_pages={:?},validate={},policies={},seed={},polite={},host={})|\
+        "platform={}|crawl(max_pages={:?},validate={},policies={},seed={},polite={},host={},\
+         unit={})|\
          honeypot(personas={},feed={},seed={},auto_verify={},webhooks={})|\
          sample={}|ontology[{}]",
         c.platform,
@@ -196,6 +201,7 @@ pub fn run_fingerprint(config: &AuditConfig, world_seed: u64) -> u64 {
         c.seed,
         c.polite,
         c.list_host,
+        CRAWL_UNIT_SIZE,
         h.personas_per_guild,
         h.feed_messages,
         h.seed,
@@ -226,6 +232,13 @@ fn artifact_key(fingerprint: u64, bot: &CrawledBot) -> ContentHash {
 fn artifact_key_raw(fingerprint: u64, bot_json: &[u8]) -> ContentHash {
     ContentHash::of_parts(&[b"analysis-v1", &fingerprint.to_le_bytes(), bot_json])
 }
+
+/// A crawled bot with the serialized bytes the validated crawl handed back
+/// (cache bodies for 304'd bots, fresh serializations for fetched ones), so
+/// the analysis stage can hash artifact keys without re-serializing every
+/// bot. The cold and replayed paths carry no bytes and the analysis falls
+/// back to serializing.
+type RawBot = (CrawledBot, Option<Vec<u8>>);
 
 /// Everything the warm crawl path carries: the tenant's journaled
 /// validator cache, the set of detail hrefs the site's change ledger names
@@ -287,6 +300,31 @@ fn record(store: &AuditStore, kind: u16, key: u64, payload: Vec<u8>) -> Result<(
 }
 
 impl AuditPipeline {
+    /// Run every stage (crawl → traceability → code → honeypot) against a
+    /// mounted world. This is the journaled graph over a throwaway store
+    /// ([`AuditStore::throwaway`]): nothing to replay, nothing kept. A
+    /// throwaway store holds a single run, so its fingerprint is never
+    /// compared and is left at 0.
+    pub fn run_full(&self, eco: &Ecosystem) -> AuditReport {
+        self.run_with_store(eco, &AuditStore::throwaway(), 0)
+            .expect("a throwaway store never fails")
+            .report
+    }
+
+    /// Run data collection + traceability + code analysis: the static half
+    /// of the journaled graph, over a throwaway store.
+    ///
+    /// Opens a `static` root span on the pipeline's [`Obs`](obs::Obs): a
+    /// `crawl` child holds the `listing` (per-page children) and `units`
+    /// (per-chunk children) spans, and `analysis` holds one `bot` child per
+    /// listing index. Every key is data-derived, so the canonical trace is
+    /// byte-identical at any worker count. Memoization and kernel counters
+    /// land in the registry under `analysis.*`, `policy.*`, and `code.*`.
+    pub fn run_static_stages(&self, net: &Network) -> (Vec<AuditedBot>, CrawlStats) {
+        self.run_static(net, &AuditStore::throwaway(), 0, None)
+            .expect("a throwaway store never fails")
+    }
+
     /// Run the full pipeline through a crash-safe store.
     ///
     /// Every completed unit is journaled before the next begins; a run
@@ -375,134 +413,151 @@ impl AuditPipeline {
         fingerprint: u64,
         inc: Option<&IncrementalContext>,
     ) -> Result<ResumableOutcome, ResumeError> {
-        let net = &eco.net;
+        let (bots, crawl_stats) = self.run_static(&eco.net, store, fingerprint, inc)?;
+        let honeypot = self.run_dynamic(eco, store, fingerprint, inc)?;
+        if !store.has_unit(K_COMPLETE, 0) {
+            record(store, K_COMPLETE, 0, Vec::new())?;
+        }
+
+        let store_stats = store.stats();
+        self.obs
+            .counter("store.journal.frames_written")
+            .add(store_stats.frames_written);
+        self.obs
+            .counter("store.journal.replayed")
+            .add(store_stats.frames_replayed);
+        self.obs
+            .counter("store.artifacts.hits")
+            .add(store_stats.artifact_hits);
+        self.obs
+            .counter("store.artifacts.misses")
+            .add(store_stats.artifact_misses);
+
+        Ok(ResumableOutcome {
+            report: AuditReport {
+                platform: eco.kind,
+                bots,
+                crawl_stats,
+                honeypot: Some(honeypot),
+            },
+            store_stats,
+            referenced_keys: store.referenced_keys(),
+        })
+    }
+
+    /// The static half of the graph: stage 1 (crawl) and stages 2/3
+    /// (traceability + code analysis), under one `static` root span.
+    fn run_static(
+        &self,
+        net: &Network,
+        store: &AuditStore,
+        fingerprint: u64,
+        inc: Option<&IncrementalContext>,
+    ) -> Result<(Vec<AuditedBot>, CrawlStats), ResumeError> {
+        let root = self.obs.span("static");
+        let (crawled, crawl_stats) = self.run_crawl(net, store, inc, &root)?;
+        let bots = self.run_analysis(net, store, fingerprint, crawled, &root)?;
+        Ok((bots, crawl_stats))
+    }
+
+    /// Stage 1: the listing traversal (one journal unit), then the detail
+    /// pages in fixed [`CRAWL_UNIT_SIZE`] chunks fanned out to the unit
+    /// pool, each chunk journaled as it finishes — so a crash preserves
+    /// every *completed* chunk regardless of order.
+    fn run_crawl(
+        &self,
+        net: &Network,
+        store: &AuditStore,
+        inc: Option<&IncrementalContext>,
+        root: &Span,
+    ) -> Result<(Vec<RawBot>, CrawlStats), ResumeError> {
         let clock = net.clock();
         let started = clock.now();
-        let root = self.obs.span("static");
+        let span = root.child("crawl");
 
-        // --- Stage 1a: listing traversal (one journal unit).
         let listing: ListingIndex = match store.lookup_unit(K_LISTING, 0) {
             Some(bytes) => {
                 self.obs
                     .event(Severity::Info, "store.journal", "listing replayed");
-                root.child("listing").record("replayed", 1);
-                serde_json::from_slice(&bytes).expect("listing frame decodes")
+                span.child("listing").record("replayed", 1);
+                serde_json::from_slice(bytes).expect("listing frame decodes")
             }
-            None => {
-                // With the validator cache armed, the cache itself is the
-                // crash-safe carrier for crawl state: a resumed run replays
-                // validators and 304s its way back in less time than the
-                // journal frame costs to serialize, so the crawl stages
-                // journal nothing.
-                match inc {
-                    Some(ctx) => discover_listing_validated(
-                        net,
-                        &self.config.crawl,
-                        &CacheStore(ctx.cache.clone()),
-                        &self.obs,
-                        &root,
-                    ),
-                    None => {
-                        let listing =
-                            discover_listing_traced(net, &self.config.crawl, &self.obs, &root);
-                        let bytes = serde_json::to_vec(&listing).expect("listing serializes");
-                        record(store, K_LISTING, 0, bytes)?;
-                        listing
-                    }
+            // With the validator cache armed, the cache itself is the
+            // crash-safe carrier for crawl state: a resumed run replays
+            // validators and 304s its way back in less time than the
+            // journal frame costs to serialize, so the crawl stages
+            // journal nothing.
+            None => match inc {
+                Some(ctx) => discover_listing_validated(
+                    net,
+                    &self.config.crawl,
+                    &CacheStore(ctx.cache.clone()),
+                    &self.obs,
+                    &span,
+                ),
+                None => {
+                    let listing =
+                        discover_listing_traced(net, &self.config.crawl, &self.obs, &span);
+                    let bytes = serde_json::to_vec(&listing).expect("listing serializes");
+                    record(store, K_LISTING, 0, bytes)?;
+                    listing
                 }
-            }
+            },
         };
 
-        // --- Stage 1b: detail pages in fixed-size chunks. Chunks fan out to
-        // a claim-counter pool; each finished chunk journals immediately, so
-        // a crash preserves every *completed* chunk regardless of order.
         let chunks: Vec<&[String]> = listing.hrefs.chunks(CRAWL_UNIT_SIZE).collect();
-        let units_span = root.child("units");
-        let units = self.run_unit_pool(chunks.len(), |unit| {
-            match store.lookup_unit(K_CRAWL_UNIT, unit as u64) {
-                Some(bytes) => {
+        let units_span = span.child("units");
+        let (units, raws): (Vec<_>, Vec<_>) = self
+            .run_unit_pool(chunks.len(), |unit| {
+                if let Some(bytes) = store.lookup_unit(K_CRAWL_UNIT, unit as u64) {
                     units_span
                         .child_keyed("unit", unit as u64)
                         .record("replayed", 1);
                     let decoded: DetailUnit =
-                        serde_json::from_slice(&bytes).expect("crawl unit frame decodes");
-                    Ok((decoded, Vec::new()))
+                        serde_json::from_slice(bytes).expect("crawl unit frame decodes");
+                    return Ok((decoded, Vec::new()));
                 }
-                None => {
-                    let out = match inc {
-                        Some(ctx) => crawl_detail_unit_validated(
+                match inc {
+                    Some(ctx) => Ok(crawl_detail_unit_validated(
+                        net,
+                        &self.config.crawl,
+                        chunks[unit],
+                        unit as u64,
+                        &CacheStore(ctx.cache.clone()),
+                        &ctx.changed,
+                        &self.obs,
+                        &units_span,
+                    )),
+                    None => {
+                        let out = crawl_detail_unit_traced(
                             net,
                             &self.config.crawl,
                             chunks[unit],
                             unit as u64,
-                            &CacheStore(ctx.cache.clone()),
-                            &ctx.changed,
                             &self.obs,
                             &units_span,
-                        ),
-                        None => {
-                            let out = crawl_detail_unit_traced(
-                                net,
-                                &self.config.crawl,
-                                chunks[unit],
-                                unit as u64,
-                                &self.obs,
-                                &units_span,
-                            );
-                            let bytes = serde_json::to_vec(&out).expect("crawl unit serializes");
-                            record(store, K_CRAWL_UNIT, unit as u64, bytes)?;
-                            (out, Vec::new())
-                        }
-                    };
-                    Ok(out)
+                        );
+                        let bytes = serde_json::to_vec(&out).expect("crawl unit serializes");
+                        record(store, K_CRAWL_UNIT, unit as u64, bytes)?;
+                        Ok((out, Vec::new()))
+                    }
                 }
-            }
-        })?;
+            })?
+            .into_iter()
+            .unzip();
         drop(units_span);
 
-        let mut crawl_stats = CrawlStats {
-            pages: listing.pages,
-            duration: netsim::clock::SimDuration::ZERO,
-            ..CrawlStats::default()
-        };
-        let mut overhead = listing.overhead;
-        let mut crawled: Vec<CrawledBot> = Vec::with_capacity(listing.hrefs.len());
-        // Raw serialized bytes per crawled bot, aligned with `crawled`. The
-        // validated crawl hands these back (cache bodies for 304'd bots,
-        // fresh serializations for fetched ones) so the analysis stage can
-        // hash artifact keys without re-serializing every bot; the plain and
-        // replayed paths return no bytes and fall back to serializing.
-        let mut raws: Vec<Option<Vec<u8>>> = Vec::with_capacity(listing.hrefs.len());
-        for (
-            DetailUnit {
-                results,
-                overhead: unit_overhead,
-            },
-            raw,
-        ) in units
-        {
-            overhead.absorb(&unit_overhead);
-            let mut raw = raw.into_iter().chain(std::iter::repeat_with(|| None));
-            for result in results {
-                let bytes = raw.next().expect("padded iterator never ends");
-                match result {
-                    Some(bot) => {
-                        crawl_stats.bots += 1;
-                        crawled.push(bot);
-                        raws.push(bytes);
-                    }
-                    None => crawl_stats.failures += 1,
-                }
-            }
+        let mut crawl_stats = CrawlStats::of(&listing, &units);
+        let mut crawled = Vec::with_capacity(crawl_stats.bots);
+        for (unit, raw) in units.into_iter().zip(raws) {
+            let raw = raw.into_iter().chain(std::iter::repeat_with(|| None));
+            crawled.extend(
+                unit.results
+                    .into_iter()
+                    .zip(raw)
+                    .filter_map(|(result, bytes)| Some((result?, bytes))),
+            );
         }
-        let SessionOverhead {
-            captchas_solved,
-            captcha_spend_dollars,
-            email_verifications,
-        } = overhead;
-        crawl_stats.captchas_solved = captchas_solved;
-        crawl_stats.captcha_spend_dollars = captcha_spend_dollars;
-        crawl_stats.email_verifications = email_verifications;
 
         // The crawl is complete: every validator entry now reflects this
         // epoch's content, so advance the cache's committed epoch. A crash
@@ -528,26 +583,39 @@ impl AuditPipeline {
                 self.obs.counter("store.validators.reset").incr();
             }
         }
+        crawl_stats.duration = clock.now().duration_since(started);
+        Ok((crawled, crawl_stats))
+    }
 
-        // --- Stages 2/3: per-bot analysis through the artifact cache.
+    /// Stages 2/3: per-bot analysis through the artifact cache, one unit
+    /// per listing index on the unit pool.
+    fn run_analysis(
+        &self,
+        net: &Network,
+        store: &AuditStore,
+        fingerprint: u64,
+        crawled: Vec<RawBot>,
+        root: &Span,
+    ) -> Result<Vec<AuditedBot>, ResumeError> {
         let policy_before = self.config.ontology.kernel_stats();
         let code_before = codeanal::scanner_kernel_stats();
         let links = LinkCache::new();
         let memo = AnalysisMemo::new();
 
-        let jobs: Vec<Mutex<Option<CrawledBot>>> =
-            crawled.into_iter().map(|b| Mutex::new(Some(b))).collect();
-        let gh_clients: Mutex<Vec<netsim::client::HttpClient>> = Mutex::new(Vec::new());
+        let jobs: Vec<Mutex<Option<RawBot>>> = crawled
+            .into_iter()
+            .map(|job| Mutex::new(Some(job)))
+            .collect();
+        let gh_clients: Mutex<Vec<HttpClient>> = Mutex::new(Vec::new());
         let analysis_span = root.child("analysis");
-        let analysis_span_ref = &analysis_span;
-        let raws_ref = &raws;
         let bots = self.run_unit_pool(jobs.len(), |idx| {
-            let bot_span = analysis_span_ref.child_keyed("bot", idx as u64);
-            let bot = jobs[idx].lock().take().expect("job claimed once");
-            let key = match store.lookup_unit(K_ANALYSIS, idx as u64) {
-                Some(payload) => ContentHash::from_bytes(&payload)
+            let bot_span = analysis_span.child_keyed("bot", idx as u64);
+            let (bot, raw) = jobs[idx].lock().take().expect("job claimed once");
+            let replayed = store.lookup_unit(K_ANALYSIS, idx as u64);
+            let key = match replayed {
+                Some(payload) => ContentHash::from_bytes(payload)
                     .expect("analysis frame payload is a content hash"),
-                None => match raws_ref[idx].as_deref() {
+                None => match raw.as_deref() {
                     Some(bytes) => artifact_key_raw(fingerprint, bytes),
                     None => artifact_key(fingerprint, &bot),
                 },
@@ -559,24 +627,22 @@ impl AuditPipeline {
                 }
                 None => {
                     // Workers keep their clients across claims (pop/push
-                    // around the analysis) so politeness state persists the
-                    // way the plain pipeline's per-worker clients do.
+                    // around the analysis) so politeness state persists
+                    // from one bot to the next.
                     let mut gh_client = gh_clients
                         .lock()
                         .pop()
                         .unwrap_or_else(|| self.analysis_client(net));
-                    let audited = self.audit_one(bot.clone(), &mut gh_client, &links, &memo);
+                    let (traceability, code) =
+                        self.analyze_one(&bot, &mut gh_client, &links, &memo);
                     gh_clients.lock().push(gh_client);
-                    let artifact = AnalysisArtifact {
-                        traceability: audited.traceability,
-                        code: audited.code,
-                    };
+                    let artifact = AnalysisArtifact { traceability, code };
                     let blob = serde_json::to_vec(&artifact).expect("artifact serializes");
                     store.artifact_put(key, &blob).map_err(ResumeError::Store)?;
                     artifact
                 }
             };
-            if store.lookup_unit(K_ANALYSIS, idx as u64).is_none() {
+            if replayed.is_none() {
                 record(store, K_ANALYSIS, idx as u64, key.0.to_vec())?;
             }
             let audited = AuditedBot {
@@ -588,58 +654,31 @@ impl AuditPipeline {
             Ok(audited)
         })?;
         drop(analysis_span);
-
-        // Close the static root before the honeypot opens its own.
         self.publish_analysis_metrics(&links, &memo, policy_before, code_before);
-        drop(root);
+        Ok(bots)
+    }
 
-        // --- Stage 4: honeypot campaign (one journal unit).
-        let honeypot: CampaignReport = match store.lookup_unit(K_HONEYPOT, 0) {
-            Some(bytes) => {
-                self.obs
-                    .event(Severity::Info, "store.journal", "honeypot replayed");
-                serde_json::from_slice(&bytes).expect("honeypot frame decodes")
-            }
-            None => {
-                let report = match inc {
-                    Some(_) => self.run_honeypot_reusing(eco, store, fingerprint),
-                    None => self.run_honeypot(eco),
-                };
-                let bytes = serde_json::to_vec(&report).expect("campaign serializes");
-                record(store, K_HONEYPOT, 0, bytes)?;
-                report
-            }
-        };
-
-        if store.lookup_unit(K_COMPLETE, 0).is_none() {
-            record(store, K_COMPLETE, 0, Vec::new())?;
+    /// The dynamic half of the graph: stage 4, the honeypot campaign (one
+    /// journal unit), under its own `dynamic` root span.
+    fn run_dynamic(
+        &self,
+        eco: &Ecosystem,
+        store: &AuditStore,
+        fingerprint: u64,
+        inc: Option<&IncrementalContext>,
+    ) -> Result<CampaignReport, ResumeError> {
+        if let Some(bytes) = store.lookup_unit(K_HONEYPOT, 0) {
+            self.obs
+                .event(Severity::Info, "store.journal", "honeypot replayed");
+            return Ok(serde_json::from_slice(bytes).expect("honeypot frame decodes"));
         }
-
-        let store_stats = store.stats();
-        self.obs
-            .counter("store.journal.frames_written")
-            .add(store_stats.frames_written);
-        self.obs
-            .counter("store.journal.replayed")
-            .add(store_stats.frames_replayed);
-        self.obs
-            .counter("store.artifacts.hits")
-            .add(store_stats.artifact_hits);
-        self.obs
-            .counter("store.artifacts.misses")
-            .add(store_stats.artifact_misses);
-
-        crawl_stats.duration = clock.now().duration_since(started);
-        Ok(ResumableOutcome {
-            report: AuditReport {
-                platform: eco.kind,
-                bots,
-                crawl_stats,
-                honeypot: Some(honeypot),
-            },
-            store_stats,
-            referenced_keys: store.referenced_keys(),
-        })
+        let report = match inc {
+            Some(_) => self.run_honeypot_reusing(eco, store, fingerprint),
+            None => self.run_honeypot(eco),
+        };
+        let bytes = serde_json::to_vec(&report).expect("campaign serializes");
+        record(store, K_HONEYPOT, 0, bytes)?;
+        Ok(report)
     }
 
     /// Drift-aware honeypot stage: guild transcripts live in the artifact
@@ -720,11 +759,11 @@ impl AuditPipeline {
         let next = AtomicUsize::new(0);
         let dead = AtomicBool::new(false);
         let first_error: Mutex<Option<ResumeError>> = Mutex::new(None);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..workers {
                 let (slots, next, dead, first_error) = (&slots, &next, &dead, &first_error);
                 let work = &work;
-                s.spawn(move |_| loop {
+                s.spawn(move || loop {
                     if dead.load(Ordering::Relaxed) {
                         break;
                     }
@@ -745,8 +784,7 @@ impl AuditPipeline {
                     }
                 });
             }
-        })
-        .expect("unit pool scope");
+        });
         if let Some(e) = first_error.into_inner() {
             return Err(e);
         }
@@ -868,7 +906,6 @@ mod tests {
 
         let mut workers = base.clone();
         workers.workers = 8;
-        workers.crawl.workers = 8;
         workers.honeypot.workers = 8;
         assert_eq!(
             seed_a,

@@ -34,10 +34,6 @@ pub struct CrawlConfig {
     /// Use the polite session (rate-limited, jittered). The ablation sets
     /// this false.
     pub polite: bool,
-    /// Crawl shards: 1 = serial, N = fan page ranges and detail pages out
-    /// to N sessions, 0 = one per available core. Output is byte-identical
-    /// to the serial crawl regardless of the setting.
-    pub workers: usize,
     /// The listing site's host. Each platform's directory lives on its own
     /// domain (`top.gg.sim` for Discord, `tdirectory.sim` for Telegram);
     /// relative detail hrefs resolve against this host.
@@ -58,7 +54,6 @@ impl Default for CrawlConfig {
             fetch_policies: true,
             seed: 7,
             polite: true,
-            workers: 1,
             list_host: LIST_HOST.to_string(),
             platform: platform::PlatformKind::Discord,
         }
@@ -88,6 +83,18 @@ impl ScopedCounter {
         self.add(1);
     }
 }
+
+/// Detail hrefs per crawl unit. Fixed (never derived from a worker count)
+/// so unit sessions, and the journal a resumable run writes, are identical
+/// whatever parallelism ran them.
+///
+/// Each unit crawls on its own session, which the directory meters as a
+/// separate requester. A unit is therefore sized like one crawl machine's
+/// session: long enough to meet a captcha wall set below it, so the crawl
+/// still pays for the site's defenses, yet short of the default wall (every
+/// 200 requests), which a world without a captcha solver (Telegram) cannot
+/// pass.
+pub const CRAWL_UNIT_SIZE: usize = 128;
 
 /// Resolve a `workers` knob: 0 means one worker per available core.
 pub fn resolve_workers(workers: usize) -> usize {
@@ -134,8 +141,7 @@ pub struct CrawlStats {
     pub duration: SimDuration,
 }
 
-/// The per-page outcome of the listing traversal, merged in page order so
-/// a sharded crawl reproduces the serial traversal exactly.
+/// The per-page outcome of the listing traversal, merged in page order.
 pub(crate) enum PageOutcome {
     /// The page never fetched (network failure after retries).
     FetchErr,
@@ -143,10 +149,6 @@ pub(crate) enum PageOutcome {
     ExtractErr,
     /// Bot detail links, in on-page order.
     Links(Vec<String>),
-}
-
-fn fetch_page(session: &mut ScrapeSession, host: &str, page: usize) -> PageOutcome {
-    fetch_page_meta(session, host, page).0
 }
 
 /// Fetch and classify one list page, also surfacing the content validator
@@ -182,8 +184,7 @@ fn classify_page(doc: &htmlsim::Document) -> PageOutcome {
 }
 
 /// Record a page traversal outcome on its trace span. Page outcomes are
-/// session-independent (the sharded-vs-serial tests pin this down), so the
-/// fields are safe for the canonical trace.
+/// session-independent, so the fields are safe for the canonical trace.
 fn trace_page_outcome(span: &Span, outcome: &PageOutcome) {
     match outcome {
         PageOutcome::FetchErr => span.record("fetch_err", 1),
@@ -313,42 +314,20 @@ fn crawl_detail(
     }
 }
 
-/// Fold one worker session's overhead counters into the crawl statistics.
-fn absorb_session(stats: &mut CrawlStats, session: &ScrapeSession) {
-    stats.captchas_solved += session.captchas_solved;
-    stats.captcha_spend_dollars += session.captcha_spend_dollars();
-    stats.email_verifications += session.email_verifications;
-}
-
-/// Contiguous shard `w` of `0..len` split across `workers` workers.
-fn shard_range(len: usize, workers: usize, w: usize) -> std::ops::Range<usize> {
-    let chunk = len.div_ceil(workers.max(1));
-    let start = (w * chunk).min(len);
-    let end = ((w + 1) * chunk).min(len);
-    start..end
-}
-
-/// Run the data-collection stage against the mounted listing site.
-///
-/// With `config.workers > 1` the traversal is sharded: page ranges and
-/// detail pages fan out to per-worker [`ScrapeSession`]s whose jitter RNGs
-/// are seeded `splitmix(config.seed, worker)`, and results merge back in
-/// page/listing order — the returned bots are byte-identical to a serial
-/// crawl of the same world. Per-session overhead (captchas, email
-/// verifications, virtual duration) legitimately varies with sharding and
-/// is reported as the sum over sessions.
+/// Run the data-collection stage against the mounted listing site: the
+/// listing traversal ([`discover_listing`]) followed by the detail pages in
+/// fixed [`CRAWL_UNIT_SIZE`] chunks ([`crawl_detail_unit`]), serially. The
+/// audit pipeline runs exactly these units (journaled, on its worker pool),
+/// so this crawl yields the bots and statistics an audit reports.
 pub fn crawl_listing(net: &Network, config: &CrawlConfig) -> (Vec<CrawledBot>, CrawlStats) {
     crawl_listing_traced(net, config, &Obs::disabled(), &Span::disabled())
 }
 
-/// [`crawl_listing`] with observability attached.
-///
-/// Opens a `crawl` span under `parent` with one `page` child per list page
-/// (keyed by page index) and one `detail` child per listing entry (keyed by
-/// listing index) — keys depend only on the crawled world, never on the
-/// worker count, so the canonical trace is sharding-invariant. Metrics go
-/// to `obs` under `crawl.*`; scheduling-dependent values (captchas, page
-/// latency) live only there, never on spans.
+/// [`crawl_listing`] with observability attached: a `crawl` span under
+/// `parent` holding the `listing` span (one `page` child per list page) and
+/// a `units` span (one `unit` child per detail chunk). Keys depend only on
+/// the crawled world, so the canonical trace is worker-count-invariant.
+/// Metrics go to `obs` under `crawl.*`.
 pub fn crawl_listing_traced(
     net: &Network,
     config: &CrawlConfig,
@@ -357,209 +336,49 @@ pub fn crawl_listing_traced(
 ) -> (Vec<CrawledBot>, CrawlStats) {
     let clock = net.clock();
     let started = clock.now();
-    let workers = resolve_workers(config.workers);
-    let mut session = ScrapeSession::for_worker(net.clone(), config.seed, 0, config.polite);
-
     let span = parent.child("crawl");
-    let page_ms = obs.histogram("crawl.page_ms");
-
-    let mut bots = Vec::new();
-    let mut stats = CrawlStats::default();
-
-    // Discover page count from page 0 (always the primary session).
-    let first = match session
-        .fetch_document(Url::https(&config.list_host, "/list").with_query("page", "0"))
-    {
-        Ok(doc) => doc,
-        Err(_) => {
-            span.record("listing_unreachable", 1);
-            stats.duration = clock.now().duration_since(started);
-            return (bots, stats);
-        }
-    };
-    let total_pages = extract_total_pages(&first).unwrap_or(1);
-    let limit = config.max_pages.map_or(total_pages, |m| m.min(total_pages));
-
-    // Phase A: traverse list pages, collecting per-page outcomes.
-    let pages_span = span.child("pages");
-    let mut outcomes: Vec<PageOutcome> = Vec::with_capacity(limit);
-    if limit > 0 {
-        let first_outcome = classify_page(&first);
-        trace_page_outcome(&pages_span.child_keyed("page", 0), &first_outcome);
-        outcomes.push(first_outcome);
-    }
-    if workers <= 1 || limit <= 2 {
-        for page in 1..limit {
-            let page_span = pages_span.child_keyed("page", page as u64);
-            let t0 = clock.now();
-            let outcome = fetch_page(&mut session, &config.list_host, page);
-            page_ms.record(clock.now().duration_since(t0).as_millis());
-            trace_page_outcome(&page_span, &outcome);
-            outcomes.push(outcome);
-        }
-    } else {
-        let rest = limit - 1; // pages 1..limit
-        let shards = workers.min(rest);
-        let pages_span_ref = &pages_span;
-        let mut sharded: Vec<Vec<PageOutcome>> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..shards)
-                .map(|w| {
-                    let net = net.clone();
-                    let page_ms = page_ms.clone();
-                    let clock = clock.clone();
-                    s.spawn(move |_| {
-                        let mut sess = ScrapeSession::for_worker(
-                            net,
-                            netsim::splitmix(config.seed, 1 + w as u64),
-                            1 + w,
-                            config.polite,
-                        );
-                        let range = shard_range(rest, shards, w);
-                        let out: Vec<PageOutcome> = range
-                            .map(|i| {
-                                let page_span = pages_span_ref.child_keyed("page", 1 + i as u64);
-                                let t0 = clock.now();
-                                let outcome = fetch_page(&mut sess, &config.list_host, 1 + i);
-                                page_ms.record(clock.now().duration_since(t0).as_millis());
-                                trace_page_outcome(&page_span, &outcome);
-                                outcome
-                            })
-                            .collect();
-                        (
-                            out,
-                            sess.captchas_solved,
-                            sess.captcha_spend_dollars(),
-                            sess.email_verifications,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    let (out, captchas, spend, emails) = h.join().expect("page shard panicked");
-                    stats.captchas_solved += captchas;
-                    stats.captcha_spend_dollars += spend;
-                    stats.email_verifications += emails;
-                    out
-                })
-                .collect()
+    let listing = discover_listing_traced(net, config, obs, &span);
+    let units_span = span.child("units");
+    let units: Vec<DetailUnit> = listing
+        .hrefs
+        .chunks(CRAWL_UNIT_SIZE)
+        .enumerate()
+        .map(|(unit, hrefs)| {
+            crawl_detail_unit_traced(net, config, hrefs, unit as u64, obs, &units_span)
         })
-        .expect("page scope");
-        for shard in &mut sharded {
-            outcomes.append(shard);
-        }
-    }
-
-    // Merge in page order with the serial traversal's semantics: fetch
-    // failures skip the page, an empty page ends the listing.
-    let mut hrefs: Vec<String> = Vec::new();
-    for outcome in outcomes {
-        match outcome {
-            PageOutcome::FetchErr => continue,
-            PageOutcome::ExtractErr => stats.pages += 1,
-            PageOutcome::Links(links) => {
-                stats.pages += 1;
-                if links.is_empty() {
-                    break; // past the end
-                }
-                hrefs.extend(links);
-            }
-        }
-    }
-    drop(pages_span);
-
-    // Phase B: detail pages, sharded in listing order.
-    let details_span = span.child("details");
-    if workers <= 1 || hrefs.len() <= 1 {
-        for (i, href) in hrefs.iter().enumerate() {
-            let detail_span = details_span.child_keyed("detail", i as u64);
-            match crawl_detail(&mut session, href, config) {
-                Ok(bot) => {
-                    detail_span.record("ok", 1);
-                    stats.bots += 1;
-                    bots.push(bot);
-                }
-                Err(()) => {
-                    detail_span.record("failed", 1);
-                    stats.failures += 1;
-                }
-            }
-        }
-    } else {
-        let shards = workers.min(hrefs.len());
-        let hrefs_ref = &hrefs;
-        let details_span_ref = &details_span;
-        let results: Vec<Vec<Result<CrawledBot, ()>>> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..shards)
-                .map(|w| {
-                    let net = net.clone();
-                    s.spawn(move |_| {
-                        let mut sess = ScrapeSession::for_worker(
-                            net,
-                            netsim::splitmix(config.seed, 0x100 + w as u64),
-                            1 + w,
-                            config.polite,
-                        );
-                        let out: Vec<Result<CrawledBot, ()>> =
-                            shard_range(hrefs_ref.len(), shards, w)
-                                .map(|i| {
-                                    let detail_span =
-                                        details_span_ref.child_keyed("detail", i as u64);
-                                    let result = crawl_detail(&mut sess, &hrefs_ref[i], config);
-                                    detail_span
-                                        .record(if result.is_ok() { "ok" } else { "failed" }, 1);
-                                    result
-                                })
-                                .collect();
-                        (
-                            out,
-                            sess.captchas_solved,
-                            sess.captcha_spend_dollars(),
-                            sess.email_verifications,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    let (out, captchas, spend, emails) = h.join().expect("detail shard panicked");
-                    stats.captchas_solved += captchas;
-                    stats.captcha_spend_dollars += spend;
-                    stats.email_verifications += emails;
-                    out
-                })
-                .collect()
-        })
-        .expect("detail scope");
-        for result in results.into_iter().flatten() {
-            match result {
-                Ok(bot) => {
-                    stats.bots += 1;
-                    bots.push(bot);
-                }
-                Err(()) => stats.failures += 1,
-            }
-        }
-    }
-
-    drop(details_span);
-
-    absorb_session(&mut stats, &session);
+        .collect();
+    let mut stats = CrawlStats::of(&listing, &units);
     stats.duration = clock.now().duration_since(started);
-
-    // Deterministic totals go on the span; scheduling-dependent overhead
-    // (captchas, spend, virtual duration) goes to metrics only.
-    span.record("pages", stats.pages as u64);
-    span.record("bots", stats.bots as u64);
-    span.record("failures", stats.failures as u64);
-    ScopedCounter::new(obs, config, "pages_fetched").add(stats.pages as u64);
-    ScopedCounter::new(obs, config, "bots").add(stats.bots as u64);
-    ScopedCounter::new(obs, config, "detail_failures").add(stats.failures as u64);
-    ScopedCounter::new(obs, config, "captchas_solved").add(stats.captchas_solved);
-    ScopedCounter::new(obs, config, "email_verifications").add(stats.email_verifications);
+    let bots = units
+        .into_iter()
+        .flat_map(|unit| unit.results)
+        .flatten()
+        .collect();
     (bots, stats)
+}
+
+impl CrawlStats {
+    /// The totals of a listing traversal and its detail units: pages from
+    /// the listing, crawled bots and failures from the units, session
+    /// overhead summed over all of them. The duration is left at zero for
+    /// the caller, which knows when the crawl started.
+    pub fn of(listing: &ListingIndex, units: &[DetailUnit]) -> CrawlStats {
+        let mut overhead = listing.overhead;
+        let mut stats = CrawlStats {
+            pages: listing.pages,
+            ..CrawlStats::default()
+        };
+        for unit in units {
+            overhead.absorb(&unit.overhead);
+            let ok = unit.results.iter().filter(|r| r.is_some()).count();
+            stats.bots += ok;
+            stats.failures += unit.results.len() - ok;
+        }
+        stats.captchas_solved = overhead.captchas_solved;
+        stats.captcha_spend_dollars = overhead.captcha_spend_dollars;
+        stats.email_verifications = overhead.email_verifications;
+        stats
+    }
 }
 
 /// Session overhead counters carried inside journaled crawl units, so a
@@ -618,8 +437,7 @@ pub struct DetailUnit {
 }
 
 /// Phase A only: traverse the listing serially and return the merged
-/// detail-href index. Content-identical to the traversal inside
-/// [`crawl_listing`]; the resumable pipeline journals the result so a
+/// detail-href index. The resumable pipeline journals the result so a
 /// restarted run never re-walks the listing.
 pub fn discover_listing(net: &Network, config: &CrawlConfig) -> ListingIndex {
     discover_listing_traced(net, config, &Obs::disabled(), &Span::disabled())
@@ -742,11 +560,10 @@ pub(crate) fn discover_listing_capturing(
 
 /// Crawl one contiguous chunk of detail hrefs with a dedicated session.
 ///
-/// The session seed depends only on `config.seed` and the unit index — not
-/// on any worker count — so the journal a resumable run writes is identical
-/// whatever parallelism produced it. Content is session-independent (the
-/// property the sharded-vs-serial tests pin down), so replaying a unit is
-/// byte-equivalent to re-crawling it.
+/// The session seed and requester identity depend only on `config.seed`
+/// and the unit index — not on any worker count — so the journal a
+/// resumable run writes is identical whatever parallelism produced it, and
+/// replaying a unit is byte-equivalent to re-crawling it.
 pub fn crawl_detail_unit(
     net: &Network,
     config: &CrawlConfig,
@@ -1040,68 +857,6 @@ mod tests {
         assert!(bots
             .iter()
             .all(|b| !b.website_reachable && b.policy.is_none()));
-    }
-
-    #[test]
-    fn sharded_crawl_matches_serial() {
-        let collect = |workers: usize| {
-            let net = build_world(12);
-            let (bots, stats) = crawl_listing(
-                &net,
-                &CrawlConfig {
-                    workers,
-                    ..CrawlConfig::default()
-                },
-            );
-            let shape: Vec<_> = bots
-                .iter()
-                .map(|b| {
-                    (
-                        b.scraped.id,
-                        b.scraped.name.clone(),
-                        b.invite_status.clone(),
-                        b.website_reachable,
-                        b.policy_link_present,
-                        b.policy.clone(),
-                    )
-                })
-                .collect();
-            (shape, stats.pages, stats.bots, stats.failures)
-        };
-        let serial = collect(1);
-        for workers in [2, 4, 7] {
-            assert_eq!(collect(workers), serial, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn traced_crawl_canonical_trace_is_sharding_invariant() {
-        let trace = |workers: usize| {
-            let net = build_world(12);
-            let recorder = std::sync::Arc::new(obs::JsonRecorder::new());
-            let obs_handle =
-                Obs::with_recorder(recorder.clone(), std::sync::Arc::new(net.clock().clone()));
-            {
-                let root = obs_handle.span("audit");
-                crawl_listing_traced(
-                    &net,
-                    &CrawlConfig {
-                        workers,
-                        ..CrawlConfig::default()
-                    },
-                    &obs_handle,
-                    &root,
-                );
-            }
-            recorder.canonical_trace()
-        };
-        let serial = trace(1);
-        assert!(serial.contains("\"name\":\"crawl\""));
-        assert!(serial.contains("\"name\":\"page\""));
-        assert!(serial.contains("\"name\":\"detail\""));
-        for workers in [2, 4] {
-            assert_eq!(trace(workers), serial, "workers={workers}");
-        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod solver;
 pub use crawl::{
     crawl_detail_unit, crawl_detail_unit_traced, crawl_listing, crawl_listing_traced,
     discover_listing, discover_listing_traced, CrawlConfig, CrawlStats, CrawledBot, DetailUnit,
-    ListingIndex, SessionOverhead,
+    ListingIndex, SessionOverhead, CRAWL_UNIT_SIZE,
 };
 pub use extract::{extract_bot_detail, extract_bot_links, ScrapedBot};
 pub use incremental::{

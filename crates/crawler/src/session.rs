@@ -50,11 +50,12 @@ impl ScrapeSession {
         Self::with_agent(net, seed, "impolite-crawler/1.0".to_string(), (0, 0), true)
     }
 
-    /// The session for shard `worker` of a parallel crawl. Worker 0 keeps
-    /// the canonical user-agent; the rest identify themselves as distinct
-    /// crawl machines so server-side per-requester defenses (rate buckets,
-    /// captcha counters, email verification) apply per shard, exactly as
-    /// they would to a distributed crawl fleet.
+    /// Session number `worker` of a crawl: 0 walks the listing and keeps
+    /// the canonical user-agent; each detail unit gets its own number and
+    /// identifies itself as a distinct crawl machine, so server-side
+    /// per-requester defenses (rate buckets, captcha counters, email
+    /// verification) apply per session, exactly as they would to a
+    /// distributed crawl fleet.
     pub fn for_worker(net: Network, seed: u64, worker: usize, polite: bool) -> ScrapeSession {
         let (base, think) = if polite {
             ("measurement-crawler/1.0", (400, 2500))

@@ -29,10 +29,10 @@ use crate::slash::SlashCommand;
 use crate::snowflake::{Snowflake, SnowflakeGen};
 use crate::user::{User, UserId, UserKind, UNVERIFIED_GUILD_LIMIT};
 use crate::PlatformResult;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use netsim::clock::VirtualClock;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 /// An emoji used in reactions. External (cross-guild custom) emojis need
@@ -539,7 +539,7 @@ impl Platform {
                 reason: "only bot accounts use the gateway".into(),
             });
         }
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         inner.gateways.insert(bot, tx);
         Ok(rx)
     }

@@ -369,12 +369,12 @@ impl<S: ChatSubstrate> Campaign<S> {
                 (0..live.len()).map(|_| Mutex::new(None)).collect();
             let next = AtomicUsize::new(0);
             let pool_ref: &dyn PersonaRoster = pool.as_ref();
-            crossbeam::thread::scope(|s| {
+            std::thread::scope(|s| {
                 for _ in 0..workers.min(live.len()) {
                     let (live, slots, next) = (&live, &slots, &next);
                     let guilds_span = &guilds_span;
                     let this = &*self;
-                    s.spawn(move |_| loop {
+                    s.spawn(move || loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= live.len() {
                             break;
@@ -385,8 +385,7 @@ impl<S: ChatSubstrate> Campaign<S> {
                             Some((name, this.run_guild(idx, job, pool_ref, guilds_span)));
                     });
                 }
-            })
-            .expect("campaign scope");
+            });
             slots
                 .into_iter()
                 .map(|s| s.into_inner().expect("every guild populated"))

@@ -96,6 +96,31 @@ impl Backend for MemBackend {
     }
 }
 
+/// A backend that keeps nothing: appends and atomic writes are dropped and
+/// every read finds no file. An [`AuditStore`](crate::AuditStore) over it
+/// is a throwaway store: see
+/// [`AuditStore::throwaway`](crate::AuditStore::throwaway).
+#[derive(Debug, Default, Clone, Copy)]
+pub struct NullBackend;
+
+impl Backend for NullBackend {
+    fn read(&self, _name: &str) -> io::Result<Option<Vec<u8>>> {
+        Ok(None)
+    }
+
+    fn write_atomic(&self, _name: &str, _bytes: &[u8]) -> io::Result<()> {
+        Ok(())
+    }
+
+    fn append(&self, _name: &str, _bytes: &[u8]) -> io::Result<()> {
+        Ok(())
+    }
+
+    fn remove(&self, _name: &str) -> io::Result<()> {
+        Ok(())
+    }
+}
+
 /// On-disk backend rooted at a directory. Appends go straight to the file;
 /// atomic writes go through a `.tmp` sibling plus rename, the standard
 /// crash-safe replace on POSIX filesystems.

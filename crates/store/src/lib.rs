@@ -12,9 +12,10 @@
 //!   bytes hash to an address, blobs live in an append-only pack with
 //!   atomic compaction, so unchanged bots are never re-analyzed across
 //!   runs;
-//! * [`backend`] — one file-shaped trait with hermetic in-memory and
-//!   crash-safe on-disk implementations, so every test can run against
-//!   RAM and every production run against a directory;
+//! * [`backend`] — one file-shaped trait with hermetic in-memory,
+//!   crash-safe on-disk and keep-nothing implementations, so every test
+//!   can run against RAM, every production run against a directory, and
+//!   an in-memory audit against a throwaway store;
 //! * [`store`] — the [`AuditStore`] facade the pipeline holds: journal +
 //!   pack scoped to a seed/config fingerprint, plus the kill-switch used
 //!   to simulate crashes at exact frame boundaries;
@@ -40,7 +41,7 @@ pub mod journal;
 pub mod store;
 pub mod validators;
 
-pub use backend::{Backend, DiskBackend, MemBackend, ScopedBackend};
+pub use backend::{Backend, DiskBackend, MemBackend, NullBackend, ScopedBackend};
 pub use cache::{ArtifactCache, CacheSnapshot};
 pub use checksum::crc32;
 pub use frame::{decode_all, Decoded, Frame, StopReason};

@@ -13,7 +13,7 @@
 //! writing — from the pipeline's point of view, the process died right
 //! there, except the test harness gets to keep the handle and resume.
 
-use crate::backend::Backend;
+use crate::backend::{Backend, NullBackend};
 use crate::cache::{ArtifactCache, CacheSnapshot};
 use crate::frame::Frame;
 use crate::hash::ContentHash;
@@ -78,7 +78,10 @@ pub struct AuditStore {
     fingerprint: u64,
     /// Units recovered at open, keyed by (kind, key). Later frames win so a
     /// unit re-recorded after partial corruption replays its newest copy.
-    replayed: Mutex<BTreeMap<(u16, u64), Vec<u8>>>,
+    replayed: BTreeMap<(u16, u64), Vec<u8>>,
+    /// Units recorded through this handle. Their payloads are not kept: a
+    /// run reads back only what it replayed at open.
+    recorded: Mutex<BTreeSet<(u16, u64)>>,
     /// Every artifact address this handle touched (get, peek, or put) —
     /// the liveness census longitudinal compaction keeps per epoch.
     touched: Mutex<BTreeSet<ContentHash>>,
@@ -129,13 +132,14 @@ impl AuditStore {
             journal,
             artifacts,
             fingerprint,
-            replayed: Mutex::new(replayed),
+            replayed,
+            recorded: Mutex::new(BTreeSet::new()),
             touched: Mutex::new(BTreeSet::new()),
             kill_after: AtomicU64::new(u64::MAX),
         };
         // A fresh journal gets its header frame immediately, so even a run
         // killed after zero units resumes against the right identity.
-        if store.lookup_unit(K_RUN_HEADER, 0).is_none() {
+        if !store.has_unit(K_RUN_HEADER, 0) {
             store
                 .journal
                 .append(K_RUN_HEADER, 0, fingerprint.to_le_bytes().to_vec())?;
@@ -143,19 +147,33 @@ impl AuditStore {
         Ok(store)
     }
 
+    /// A throwaway store over a [`NullBackend`]: the journaled pipeline runs
+    /// against it unchanged, replays nothing and leaves nothing behind. This
+    /// is how an in-memory audit runs the one journaled stage graph.
+    pub fn throwaway() -> AuditStore {
+        AuditStore::open(Arc::new(NullBackend), 0, false).expect("a null backend never fails")
+    }
+
     /// The run identity this store was opened for.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
 
-    /// The payload of a unit recovered at open (or recorded earlier in this
-    /// process), if any.
-    pub fn lookup_unit(&self, kind: u16, key: u64) -> Option<Vec<u8>> {
-        self.replayed
-            .lock()
-            .expect("replay map lock")
-            .get(&(kind, key))
-            .cloned()
+    /// The payload of a unit recovered at open, if any. Units recorded
+    /// through this handle are not read back; ask [`Self::has_unit`].
+    pub fn lookup_unit(&self, kind: u16, key: u64) -> Option<&[u8]> {
+        self.replayed.get(&(kind, key)).map(Vec::as_slice)
+    }
+
+    /// Whether a unit is journaled: recovered at open or recorded through
+    /// this handle.
+    pub fn has_unit(&self, kind: u16, key: u64) -> bool {
+        self.replayed.contains_key(&(kind, key))
+            || self
+                .recorded
+                .lock()
+                .expect("recorded set lock")
+                .contains(&(kind, key))
     }
 
     /// Durably record a completed unit. Honors the kill switch: once the
@@ -165,11 +183,11 @@ impl AuditStore {
         if self.journal.frames_written() >= self.kill_after.load(Ordering::Relaxed) {
             return Err(StoreError::Interrupted);
         }
-        self.journal.append(kind, key, payload.clone())?;
-        self.replayed
+        self.journal.append(kind, key, payload)?;
+        self.recorded
             .lock()
-            .expect("replay map lock")
-            .insert((kind, key), payload);
+            .expect("recorded set lock")
+            .insert((kind, key));
         Ok(())
     }
 
@@ -314,7 +332,23 @@ mod tests {
         assert!(store.lookup_unit(3, 1).is_some());
         assert_eq!(store.lookup_unit(3, 2), None);
         store.record_unit(3, 2, b"c".to_vec()).unwrap();
-        assert!(store.lookup_unit(3, 2).is_some());
+        assert!(store.has_unit(3, 2));
+    }
+
+    #[test]
+    fn throwaway_store_records_but_keeps_nothing() {
+        let store = AuditStore::throwaway();
+        store.record_unit(3, 0, b"unit".to_vec()).unwrap();
+        assert!(store.has_unit(3, 0));
+        assert_eq!(store.lookup_unit(3, 0), None, "payloads are not kept");
+        let h = ContentHash::of(b"bot");
+        store.artifact_put(h, b"blob").unwrap();
+        assert_eq!(store.stats().frames_written, 2); // header + unit
+
+        let reopened = AuditStore::open(Arc::new(NullBackend), 0, true).unwrap();
+        assert!(!reopened.has_unit(3, 0));
+        assert_eq!(reopened.artifact_get(&h), None);
+        assert_eq!(reopened.stats().frames_replayed, 0);
     }
 
     #[test]

@@ -232,7 +232,7 @@ fn store_resumes_from_any_corruption_without_panicking() {
         }
         assert_eq!(
             (0..units as u64)
-                .filter(|&k| store.lookup_unit(0x0100, k).is_some())
+                .filter(|&k| store.has_unit(0x0100, k))
                 .count(),
             units,
             "case {case}"

@@ -16,7 +16,6 @@ fn canonical_run(seed: u64, workers: usize) -> String {
         ..AuditConfig::default()
     };
     config.workers = workers;
-    config.crawl.workers = workers;
     config.honeypot.workers = workers;
     let pipeline = AuditPipeline::new(config);
     pipeline.run_full(&eco).canonical_json()
@@ -65,8 +64,8 @@ fn different_seeds_differ() {
 
 #[test]
 fn parallel_workers_match_serial_byte_for_byte() {
-    // The parallel engine's contract: sharded crawl, the work-stealing
-    // analysis pool, and concurrent honeypot campaigns must all produce
+    // The parallel engine's contract: the pool running crawl units and
+    // analyses, and concurrent honeypot campaigns, must all produce
     // the same canonical JSON report as the serial pipeline.
     for seed in [2022u64, 424242] {
         let serial = canonical_run(seed, 1);

@@ -107,7 +107,6 @@ fn small_config() -> AuditConfig {
         ..AuditConfig::default()
     };
     config.workers = 1;
-    config.crawl.workers = 1;
     config.honeypot.workers = 1;
     config
 }

@@ -218,3 +218,39 @@ fn crawl_counters_namespace_per_platform_across_one_fleet() {
         }
     }
 }
+
+/// A Telegram audit with the directory's defenses on crawls the whole
+/// listing, at any worker count. The directory grants each requester
+/// identity `captcha_every` (200) requests before its captcha wall, and a
+/// Telegram world mounts no captcha solver, so the wall cannot be passed.
+/// A crawl that walked the listing and every detail page on one long
+/// session ran that identity out of its allowance part-way (8 list pages +
+/// 200 detail pages here), and the rest of the listing came back as crawl
+/// failures — fewer of them the more sessions the crawl was split over, so
+/// the report depended on the worker count. Detail pages now crawl in
+/// fixed-size units, each on its own session, whatever the worker count.
+#[test]
+fn defended_telegram_audit_crawls_every_bot_at_any_worker_count() {
+    const SCALE: usize = 200;
+    let run = |workers: usize| {
+        Audit::builder()
+            .platform(PlatformKind::Telegram)
+            .site_defenses(true)
+            .scale(SCALE)
+            .seed(2022)
+            .honeypot_sample(6)
+            .workers(workers)
+            .build()
+            .expect("valid audit")
+            .run()
+            .expect("audit completes")
+    };
+    let serial = run(1);
+    assert_eq!(serial.bots.len(), SCALE, "every listed bot is crawled");
+    assert_eq!(serial.failures, 0, "no listing entry is lost");
+    assert_eq!(
+        serde_json::to_string(&run(2)).unwrap(),
+        serde_json::to_string(&serial).unwrap(),
+        "workers=2 report diverged from serial"
+    );
+}

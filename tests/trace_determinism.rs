@@ -22,7 +22,6 @@ fn config(workers: usize) -> AuditConfig {
         ..AuditConfig::default()
     };
     config.workers = workers;
-    config.crawl.workers = workers;
     config.honeypot.workers = workers;
     config
 }
