@@ -1,20 +1,30 @@
-//! Analysis-kernel microbenchmarks: naive per-needle scanning vs the
-//! single-pass `matchkit` automata that now sit behind the policy and
-//! code-analysis hot paths.
+//! Kernel microbenchmarks for the audit's hot paths.
 //!
-//! Two kernels, each measured both ways on the same corpus:
+//! Three kernels. The two analysis kernels are each measured both ways on
+//! the same corpus, naive per-needle scanning vs the single-pass
+//! `matchkit` automata that now sit behind them:
 //!
 //! * **policy keywords** — per-keyword `contains_word_prefix` over a
 //!   lowercased copy (the pre-automaton loop) vs one case-insensitive
 //!   word-prefix automaton pass ([`KeywordOntology::practices_in`]);
 //! * **Table 3 needles** — `strip_noncode` into a fresh `String` followed
 //!   by four `str::matches` passes vs the fused strip+match stream that
-//!   [`scan_repository`] runs per file.
+//!   [`scan_repository`] runs per file;
+//! * **crawl page** — the crawl's per-page path, end to end: a mounted
+//!   [`BotListSite`] serves a detail page (builder tree → HTML render),
+//!   [`parse_document`] parses it, and [`extract_bot_detail`] runs the
+//!   scraper's locators over it. One function per detail layout.
 
+use botlist::{BotListSite, BotListing, SiteConfig, LIST_HOST};
 use codeanal::genrepo;
 use codeanal::scanner::{scan_repository, strip_noncode};
 use codeanal::{CheckPattern, Language, Repository};
+use crawler::extract_bot_detail;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use htmlsim::parse_document;
+use netsim::client::{ClientConfig, HttpClient};
+use netsim::http::Url;
+use netsim::Network;
 use policy::{contains_word_prefix, corpus, DataPractice, KeywordOntology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -172,5 +182,76 @@ fn bench_scanner_kernel(c: &mut Criterion) {
     }
 }
 
-criterion_group!(kernels, bench_policy_kernel, bench_scanner_kernel);
+/// Detail pages crawled per timed iteration, per layout.
+const CRAWL_PAGES: u64 = 120;
+
+/// A listing with every optional field set, so its detail page carries
+/// every element the scraper looks for.
+fn crawl_listing(id: u64) -> BotListing {
+    BotListing {
+        tags: vec!["moderation".into(), "music".into(), "utility".into()],
+        description: format!("Bot {id} keeps the peace & plays <tunes> on demand."),
+        guild_count: 100 * id,
+        website: Some(format!("https://bot-{id}.site.sim/")),
+        github: Some(format!("https://github.sim/dev/bot-{id}")),
+        developers: vec![format!("dev-{id}"), "helper#0001".into()],
+        commands: vec!["!ban".into(), "!play".into(), "!help".into()],
+        ..BotListing::minimal(
+            id,
+            &format!("CrawlBot{id}"),
+            &format!("https://discord.sim/oauth2/authorize?client_id={id}&scope=bot"),
+            10_000 - id,
+        )
+    }
+}
+
+/// Serve, parse and extract every page in `ids`; returns the extracted
+/// name bytes so the work cannot be optimized away.
+fn crawl_pages(client: &mut HttpClient, ids: &[u64]) -> usize {
+    let mut name_bytes = 0;
+    for id in ids {
+        let resp = client
+            .get(Url::https(LIST_HOST, &format!("/bot/{id}")))
+            .expect("open site serves");
+        let doc = parse_document(&resp.text()).expect("site emits valid html");
+        name_bytes += extract_bot_detail(&doc).expect("scraper fits").name.len();
+    }
+    name_bytes
+}
+
+fn bench_crawl_page_kernel(c: &mut Criterion) {
+    // Detail layout is chosen per bot: ids with `id % 3 == 2` get the
+    // alternate profile card, the rest the primary page.
+    let net = Network::new(44);
+    let site = BotListSite::new(
+        (1..=3 * CRAWL_PAGES).map(crawl_listing).collect(),
+        SiteConfig::open(),
+    );
+    site.mount(&net);
+    let mut client = HttpClient::new(net, ClientConfig::impolite("bench"));
+    let primary: Vec<u64> = (1..=3 * CRAWL_PAGES)
+        .filter(|id| id % 3 != 2)
+        .take(CRAWL_PAGES as usize)
+        .collect();
+    let alternate: Vec<u64> = (1..=3 * CRAWL_PAGES).filter(|id| id % 3 == 2).collect();
+
+    let mut group = c.benchmark_group("kernels/crawl_page");
+    group.throughput(Throughput::Elements(CRAWL_PAGES));
+    for (layout, ids) in [
+        ("primary_layout", &primary),
+        ("alternate_layout", &alternate),
+    ] {
+        group.bench_function(BenchmarkId::from_parameter(layout), |b| {
+            b.iter(|| crawl_pages(&mut client, black_box(ids)))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    kernels,
+    bench_policy_kernel,
+    bench_scanner_kernel,
+    bench_crawl_page_kernel
+);
 criterion_main!(kernels);

@@ -816,7 +816,8 @@ mod tests {
                 format!("id={id}&answer={answer}"),
             )
             .unwrap()
-            .text();
+            .text()
+            .into_owned();
         let resp = client
             .get(Url::https(LIST_HOST, "/list").with_query("captcha_pass", &token))
             .unwrap();

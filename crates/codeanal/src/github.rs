@@ -233,10 +233,10 @@ pub fn resolve_github_link(client: &mut HttpClient, raw_link: &str) -> LinkOutco
         return LinkOutcome::Invalid;
     }
     let page = match client.get(url.clone()) {
-        Ok(resp) if resp.status.is_success() => resp.text(),
+        Ok(resp) if resp.status.is_success() => resp,
         _ => return LinkOutcome::Invalid,
     };
-    let Ok(doc) = parse_document(&page) else {
+    let Ok(doc) = parse_document(&page.text()) else {
         return LinkOutcome::Invalid;
     };
 

@@ -91,9 +91,9 @@ impl ScopedCounter {
 /// Each unit crawls on its own session, which the directory meters as a
 /// separate requester. A unit is therefore sized like one crawl machine's
 /// session: long enough to meet a captcha wall set below it, so the crawl
-/// still pays for the site's defenses, yet short of the default wall (every
-/// 200 requests), which a world without a captcha solver (Telegram) cannot
-/// pass.
+/// still pays for the site's defenses (every world mounts the captcha
+/// solver, Telegram's too), yet short of the default wall (every 200
+/// requests), so detail units at the default defenses never meet it.
 pub const CRAWL_UNIT_SIZE: usize = 128;
 
 /// Resolve a `workers` knob: 0 means one worker per available core.

@@ -6,8 +6,11 @@
 //! with hundreds of nodes naming the same dozen tags) that is millions of
 //! identical allocations. [`Atom`] fixes the cost three ways:
 //!
-//! 1. a static table of well-known lowercase names ([`WELL_KNOWN`]) that
-//!    resolve to `&'static str` — zero allocation, ever;
+//! 1. a static table of well-known lowercase names (`WELL_KNOWN`) that
+//!    resolve to `&'static str` — zero allocation, ever. It holds every
+//!    name the simulated sites emit, so a crawled page allocates no name
+//!    at all, neither when the site builds it nor when the crawler parses
+//!    it ([`Atom::is_static`] tells which path a name took);
 //! 2. a per-parse [`AtomInterner`] (backed by [`matchkit::Interner`]) that
 //!    allocates each *unknown* name once per document and hands out shared
 //!    [`Arc<str>`] clones afterwards;
@@ -21,12 +24,17 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Well-known lowercase tag and attribute names, sorted (binary-searched).
-/// Covers every name the simulated sites emit on their hot paths; anything
-/// else falls through to the interner.
+/// Covers every tag and attribute name the simulated sites emit (the
+/// listing site's list, detail and captcha pages, the bot websites, the
+/// code host), so building or parsing their pages never allocates a name;
+/// anything else falls through to the interner. The `atom_table` test in
+/// `botlist` renders each listing-site and website page kind and fails on
+/// any name missing here.
 static WELL_KNOWN: &[&str] = &[
     "a",
     "alt",
     "article",
+    "aside",
     "b",
     "body",
     "br",
@@ -42,7 +50,9 @@ static WELL_KNOWN: &[&str] = &[
     "data-kind",
     "data-owner",
     "data-slug",
+    "data-stars",
     "data-votes",
+    "data-week",
     "data-x",
     "disabled",
     "div",
@@ -123,6 +133,12 @@ impl Atom {
             Ok(idx) => Atom(Repr::Static(WELL_KNOWN[idx])),
             Err(_) => Atom(Repr::Owned(Arc::from(name))),
         }
+    }
+
+    /// Whether the name resolved to the static well-known table (no
+    /// allocation behind it).
+    pub fn is_static(&self) -> bool {
+        matches!(self.0, Repr::Static(_))
     }
 
     /// The name as a string slice.

@@ -24,6 +24,8 @@
 
 pub mod atom;
 pub mod build;
+#[cfg(test)]
+mod equivalence;
 pub mod locate;
 pub mod node;
 pub mod parse;

@@ -4,9 +4,19 @@
 //! variant doesn't contain the element, [`Locator::find`] returns
 //! [`LocateError::NoSuchElement`] — the simulation's analogue of Selenium's
 //! `NoSuchElementException` the paper explicitly handles.
+//!
+//! Every locator kind runs on one engine: a pre-order walk over the
+//! element tree that tests each element once and hands matches out as it
+//! meets them. [`Locator::find`] stops at the first match and
+//! [`Locator::find_all`] collects only the matches; neither gathers the
+//! page's elements first. CSS-lite selectors are matched right to left
+//! against an ancestor chain kept on the walk's stack, so results come out
+//! in document order without duplicates and without heap allocation beyond
+//! the parsed selector.
 
 use crate::node::{Document, Node};
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// Failure to locate an element.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,17 +87,17 @@ impl fmt::Display for Locator {
 
 /// One compound step of a CSS-lite selector.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct CssStep {
+pub(crate) struct CssStep {
     tag: Option<String>,
     id: Option<String>,
     classes: Vec<String>,
     attrs: Vec<(String, Option<String>)>,
     /// Whether the *next* step must be a direct child.
-    child_combinator: bool,
+    pub(crate) child_combinator: bool,
 }
 
 impl CssStep {
-    fn matches(&self, node: &Node) -> bool {
+    pub(crate) fn matches(&self, node: &Node) -> bool {
         let Some(tag) = node.tag() else { return false };
         if let Some(want) = &self.tag {
             if want != tag {
@@ -115,7 +125,7 @@ impl CssStep {
     }
 }
 
-fn parse_css(selector: &str) -> Result<Vec<CssStep>, LocateError> {
+pub(crate) fn parse_css(selector: &str) -> Result<Vec<CssStep>, LocateError> {
     let invalid = |reason: String| LocateError::InvalidLocator {
         reason: format!("{reason} in {selector:?}"),
     };
@@ -231,92 +241,121 @@ impl Locator {
 
     /// All matching elements in document order.
     pub fn find_all<'a>(&self, doc: &'a Document) -> Result<Vec<&'a Node>, LocateError> {
-        match self {
-            Locator::Id(id) => Ok(filter_elements(doc, |n| n.id() == Some(id.as_str()))),
-            Locator::ClassName(c) => Ok(filter_elements(doc, |n| n.has_class(c))),
-            Locator::TagName(t) => {
-                // Stored tags are lowercase; a case-insensitive compare
-                // avoids lowercasing the query per call.
-                Ok(filter_elements(doc, |n| {
-                    n.tag().is_some_and(|tag| tag.eq_ignore_ascii_case(t))
-                }))
-            }
-            Locator::Attr { name, value } => Ok(filter_elements(doc, |n| {
-                n.attr(name) == Some(value.as_str())
-            })),
-            Locator::LinkText(text) => Ok(filter_elements(doc, |n| {
-                n.tag() == Some("a") && n.text_content() == *text
-            })),
-            Locator::PartialLinkText(text) => Ok(filter_elements(doc, |n| {
-                n.tag() == Some("a") && n.text_content().contains(text.as_str())
-            })),
-            Locator::Css(selector) => {
-                let steps = parse_css(selector)?;
-                let mut out: Vec<&'a Node> = Vec::new();
-                select(&doc.root, &steps, &mut out);
-                Ok(out)
-            }
-        }
-    }
-
-    /// First matching element, or `NoSuchElement`.
-    pub fn find<'a>(&self, doc: &'a Document) -> Result<&'a Node, LocateError> {
-        self.find_all(doc)?
-            .into_iter()
-            .next()
-            .ok_or_else(|| LocateError::NoSuchElement {
-                locator: self.to_string(),
-            })
-    }
-}
-
-fn filter_elements(doc: &Document, pred: impl Fn(&Node) -> bool) -> Vec<&Node> {
-    doc.elements().into_iter().filter(|n| pred(n)).collect()
-}
-
-/// Recursive CSS-lite matcher.
-///
-/// `steps` is the full selector; we try to match it starting at `node` or at
-/// any descendant. Matches are appended to `out` in document order; duplicate
-/// hits are avoided by pointer identity.
-fn select<'a>(node: &'a Node, steps: &[CssStep], out: &mut Vec<&'a Node>) {
-    match_from(node, steps, out);
-    for child in node.children() {
-        select(child, steps, out);
-    }
-}
-
-/// Try to match `steps` with `node` as the first step's element.
-fn match_from<'a>(node: &'a Node, steps: &[CssStep], out: &mut Vec<&'a Node>) {
-    let Some((first, rest)) = steps.split_first() else {
-        return;
-    };
-    if !first.matches(node) {
-        return;
-    }
-    if rest.is_empty() {
-        if !out.iter().any(|n| std::ptr::eq(*n, node)) {
+        let mut out = Vec::new();
+        self.visit_matches(doc, &mut |node| {
             out.push(node);
-        }
-        return;
+            ControlFlow::Continue(())
+        })?;
+        Ok(out)
     }
-    if first.child_combinator {
-        for child in node.children() {
-            match_from(child, rest, out);
-        }
-    } else {
-        for child in node.children() {
-            descend(child, rest, out);
+
+    /// First matching element in document order, or `NoSuchElement`. The
+    /// walk stops at the first hit.
+    pub fn find<'a>(&self, doc: &'a Document) -> Result<&'a Node, LocateError> {
+        let mut first = None;
+        self.visit_matches(doc, &mut |node| {
+            first = Some(node);
+            ControlFlow::Break(())
+        })?;
+        first.ok_or_else(|| LocateError::NoSuchElement {
+            locator: self.to_string(),
+        })
+    }
+
+    /// Walk the document's elements in pre-order and hand each match to
+    /// `on_match`, until it breaks. The one engine behind [`Self::find`]
+    /// and [`Self::find_all`].
+    fn visit_matches<'a>(
+        &self,
+        doc: &'a Document,
+        on_match: &mut dyn FnMut(&'a Node) -> ControlFlow<()>,
+    ) -> Result<(), LocateError> {
+        let steps = match self {
+            Locator::Css(selector) => parse_css(selector)?,
+            _ => Vec::new(),
+        };
+        let _ = walk(&doc.root, None, &mut |node, up| {
+            if self.matches(&steps, node, up) {
+                on_match(node)
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        Ok(())
+    }
+
+    /// Whether element `node`, below the ancestor chain `up`, matches.
+    /// `steps` is the parsed selector of a [`Locator::Css`] (empty for the
+    /// other kinds).
+    fn matches(&self, steps: &[CssStep], node: &Node, up: Option<&Path<'_, '_>>) -> bool {
+        match self {
+            Locator::Id(id) => node.id() == Some(id.as_str()),
+            Locator::ClassName(c) => node.has_class(c),
+            // Stored tags are lowercase; a case-insensitive compare avoids
+            // lowercasing the query per call.
+            Locator::TagName(t) => node.tag().is_some_and(|tag| tag.eq_ignore_ascii_case(t)),
+            Locator::Attr { name, value } => node.attr(name) == Some(value.as_str()),
+            Locator::LinkText(text) => node.tag() == Some("a") && node.text_content() == *text,
+            Locator::PartialLinkText(text) => {
+                node.tag() == Some("a") && node.text_content().contains(text.as_str())
+            }
+            Locator::Css(_) => css_matches(steps, node, up),
         }
     }
 }
 
-/// Descendant search: try `steps` at `node` and at every descendant.
-fn descend<'a>(node: &'a Node, steps: &[CssStep], out: &mut Vec<&'a Node>) {
-    match_from(node, steps, out);
-    for child in node.children() {
-        descend(child, steps, out);
+/// The ancestors of the element being visited, innermost first. Each
+/// link lives on the walk's own stack frame, so tracking the path costs no
+/// allocation.
+struct Path<'p, 'a> {
+    node: &'a Node,
+    up: Option<&'p Path<'p, 'a>>,
+}
+
+/// Depth-first pre-order walk over the element nodes of `node`'s subtree,
+/// passing each one its ancestor chain; stops when `visit` breaks.
+fn walk<'a>(
+    node: &'a Node,
+    up: Option<&Path<'_, 'a>>,
+    visit: &mut dyn FnMut(&'a Node, Option<&Path<'_, 'a>>) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    if node.tag().is_none() {
+        return ControlFlow::Continue(());
     }
+    visit(node, up)?;
+    let here = Path { node, up };
+    for child in node.children() {
+        walk(child, Some(&here), visit)?;
+    }
+    ControlFlow::Continue(())
+}
+
+/// Right-to-left CSS-lite matcher: the last step must match `node`, and
+/// the steps before it must match along the ancestor chain `up` — the
+/// parent for a child combinator, any ancestor for a descendant one.
+/// Testing each element once, in document order, yields matches in
+/// document order without duplicates.
+fn css_matches(steps: &[CssStep], node: &Node, up: Option<&Path<'_, '_>>) -> bool {
+    let Some((last, init)) = steps.split_last() else {
+        return true;
+    };
+    if !last.matches(node) {
+        return false;
+    }
+    let Some(prev) = init.last() else {
+        return true;
+    };
+    let mut up = up;
+    while let Some(ancestor) = up {
+        if css_matches(init, ancestor.node, ancestor.up) {
+            return true;
+        }
+        if prev.child_combinator {
+            return false;
+        }
+        up = ancestor.up;
+    }
+    false
 }
 
 #[cfg(test)]

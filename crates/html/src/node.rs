@@ -1,6 +1,7 @@
 //! The element tree.
 
 use crate::atom::Atom;
+use crate::locate::Locator;
 use std::collections::BTreeMap;
 
 /// A node in the document tree: an element or a text run.
@@ -71,9 +72,11 @@ impl Node {
             .unwrap_or_default()
     }
 
-    /// Whether the element carries class `name`.
+    /// Whether the element carries class `name` (scans the attribute in
+    /// place; no class list is built).
     pub fn has_class(&self, name: &str) -> bool {
-        self.classes().contains(&name)
+        self.attr("class")
+            .is_some_and(|c| c.split_whitespace().any(|class| class == name))
     }
 
     /// Children slice (empty for text nodes).
@@ -86,22 +89,26 @@ impl Node {
 
     /// Concatenated text content of the subtree, with runs separated by a
     /// single space and trimmed — matches what Selenium's `.text` yields for
-    /// simple markup.
+    /// simple markup. Words are appended straight into the result.
     pub fn text_content(&self) -> String {
         let mut out = String::new();
-        self.collect_text(&mut out);
-        out.split_whitespace().collect::<Vec<_>>().join(" ")
+        self.collect_words(&mut out);
+        out
     }
 
-    fn collect_text(&self, out: &mut String) {
+    fn collect_words(&self, out: &mut String) {
         match self {
             Node::Text(t) => {
-                out.push(' ');
-                out.push_str(t);
+                for word in t.split_whitespace() {
+                    if !out.is_empty() {
+                        out.push(' ');
+                    }
+                    out.push_str(word);
+                }
             }
             Node::Element { children, .. } => {
                 for c in children {
-                    c.collect_text(out);
+                    c.collect_words(out);
                 }
             }
         }
@@ -148,10 +155,10 @@ impl Document {
 
     /// Page title, if a `<title>` element exists.
     pub fn title(&self) -> Option<String> {
-        self.elements()
-            .into_iter()
-            .find(|n| n.tag() == Some("title"))
-            .map(|n| n.text_content())
+        Locator::tag("title")
+            .find(self)
+            .ok()
+            .map(Node::text_content)
     }
 }
 

@@ -5,10 +5,15 @@
 //! through, unmatched closing tags are dropped, unclosed elements are closed
 //! at end-of-input, and stray `<` characters are treated as text. It only
 //! *errors* on input that cannot be a page at all.
+//!
+//! The parser borrows its input and copies each text run and attribute
+//! value once, into the node that owns it: runs with no `&` are copied as
+//! they are, the rest are decoded in one pass ([`unescape`]), and adjacent
+//! runs decode straight into the text node they merge into.
 
 use crate::atom::{Atom, AtomInterner};
 use crate::node::{Document, Node};
-use crate::render::unescape;
+use crate::render::{unescape, unescape_into};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -131,13 +136,12 @@ fn push_text(stack: &mut [Frame], raw: &str) {
         return;
     }
     let frame = stack.last_mut().expect("stack non-empty");
-    let text = unescape(raw);
     // Merge adjacent text runs so parsing is a normalization fixpoint
     // (render → parse yields the same tree again).
     if let Some(Node::Text(prev)) = frame.2.last_mut() {
-        prev.push_str(&text);
+        unescape_into(prev, raw);
     } else {
-        frame.2.push(Node::Text(text));
+        frame.2.push(Node::Text(unescape(raw).into_owned()));
     }
 }
 
@@ -228,14 +232,14 @@ fn parse_attrs(names: &mut AtomInterner, rest: &str) -> BTreeMap<Atom, String> {
                 while i < bytes.len() && bytes[i] != quote {
                     i += 1;
                 }
-                attrs.insert(name, unescape(&rest[val_start..i]));
+                attrs.insert(name, unescape(&rest[val_start..i]).into_owned());
                 i += 1; // past the closing quote
             } else {
                 let val_start = i;
                 while i < bytes.len() && !bytes[i].is_ascii_whitespace() {
                     i += 1;
                 }
-                attrs.insert(name, unescape(&rest[val_start..i]));
+                attrs.insert(name, unescape(&rest[val_start..i]).into_owned());
             }
         } else {
             // Valueless attribute (e.g. `disabled`).

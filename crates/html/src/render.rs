@@ -1,9 +1,25 @@
 //! Serialization: the tree → HTML text that travels over the fabric.
+//!
+//! Rendering writes straight into one output buffer: text runs and
+//! attribute values are escaped in place, copying the stretches between
+//! special characters as whole slices, so a page costs one growing
+//! `String` and no per-node temporaries. The parser's inverse,
+//! [`unescape`], borrows its input when there is nothing to decode and
+//! otherwise decodes in a single left-to-right pass.
 
 use crate::node::{Document, Node};
+use std::borrow::Cow;
 
 /// Tags serialized without a closing tag (HTML "void elements").
 const VOID_TAGS: &[&str] = &["br", "hr", "img", "input", "link", "meta"];
+
+/// The entities this crate emits and decodes, with their characters.
+const ENTITIES: [(&str, char); 4] = [
+    ("&amp;", '&'),
+    ("&lt;", '<'),
+    ("&gt;", '>'),
+    ("&quot;", '"'),
+];
 
 /// Render a document to an HTML string with a doctype line.
 pub fn render_document(doc: &Document) -> String {
@@ -15,7 +31,7 @@ pub fn render_document(doc: &Document) -> String {
 /// Render a single node (and subtree) to HTML.
 pub fn render_node(node: &Node, out: &mut String) {
     match node {
-        Node::Text(t) => out.push_str(&escape_text(t)),
+        Node::Text(t) => escape_into(out, t, false),
         Node::Element {
             tag,
             attrs,
@@ -27,7 +43,7 @@ pub fn render_node(node: &Node, out: &mut String) {
                 out.push(' ');
                 out.push_str(k);
                 out.push_str("=\"");
-                out.push_str(&escape_attr(v));
+                escape_into(out, v, true);
                 out.push('"');
             }
             out.push('>');
@@ -51,41 +67,66 @@ pub fn render_to_string(node: &Node) -> String {
     s
 }
 
+/// Append `s` to `out`, replacing each special byte with its entity. The
+/// special characters are all ASCII, so every split point is a char
+/// boundary.
+fn escape_into(out: &mut String, s: &str, quotes: bool) {
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' if quotes => "&quot;",
+            _ => continue,
+        };
+        out.push_str(&s[plain..i]);
+        out.push_str(entity);
+        plain = i + 1;
+    }
+    out.push_str(&s[plain..]);
+}
+
 /// Escape text content.
 pub fn escape_text(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(ch),
-        }
-    }
+    escape_into(&mut out, s, false);
     out
 }
 
 /// Escape attribute values (quotes too).
 pub fn escape_attr(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(ch),
-        }
-    }
+    escape_into(&mut out, s, true);
     out
 }
 
-/// Unescape the entities this crate emits (used by the parser).
-pub fn unescape(s: &str) -> String {
-    s.replace("&quot;", "\"")
-        .replace("&lt;", "<")
-        .replace("&gt;", ">")
-        .replace("&amp;", "&")
+/// Append `s` to `out` with the entities this crate emits decoded, in one
+/// left-to-right pass. Any other `&` passes through unchanged.
+pub(crate) fn unescape_into(out: &mut String, s: &str) {
+    let mut rest = s;
+    while let Some(amp) = rest.find('&') {
+        out.push_str(&rest[..amp]);
+        let tail = &rest[amp..];
+        let (ch, len) = ENTITIES
+            .iter()
+            .find(|(entity, _)| tail.starts_with(entity))
+            .map_or(('&', 1), |&(entity, ch)| (ch, entity.len()));
+        out.push(ch);
+        rest = &tail[len..];
+    }
+    out.push_str(rest);
+}
+
+/// Unescape the entities this crate emits (used by the parser). Borrows
+/// `s` unchanged when it contains no `&`.
+pub fn unescape(s: &str) -> Cow<'_, str> {
+    if !s.contains('&') {
+        return Cow::Borrowed(s);
+    }
+    let mut out = String::with_capacity(s.len());
+    unescape_into(&mut out, s);
+    Cow::Owned(out)
 }
 
 #[cfg(test)]

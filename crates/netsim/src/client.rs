@@ -155,7 +155,7 @@ impl HttpClient {
     pub fn fetch(&mut self, req: Request) -> Result<Response, NetError> {
         self.stats.fetches += 1;
         let clock = self.net.clock();
-        let mut current = req.with_header("user-agent", &self.config.user_agent.clone());
+        let mut current = req.with_header("user-agent", &self.config.user_agent);
         let mut hops = 0usize;
 
         loop {
@@ -163,7 +163,7 @@ impl HttpClient {
             let response = loop {
                 attempt += 1;
 
-                let wait = self.politeness_wait(&current.url.host.clone(), clock.now());
+                let wait = self.politeness_wait(&current.url.host, clock.now());
                 if wait > SimDuration::ZERO {
                     clock.sleep(wait);
                     self.stats.time_waiting += wait;
@@ -223,8 +223,7 @@ impl HttpClient {
                     })?;
                 let next = current.url.join(location)?;
                 self.stats.redirects_followed += 1;
-                current =
-                    Request::get(next).with_header("user-agent", &self.config.user_agent.clone());
+                current = Request::get(next).with_header("user-agent", &self.config.user_agent);
                 continue;
             }
 

@@ -163,7 +163,10 @@ impl Network {
         req: &Request,
         timeout: SimDuration,
     ) -> Result<Response, NetError> {
-        let request_bytes = req.url.to_string().len() + req.body.len();
+        // Formatted once: it sizes the request, names it in the trace, and
+        // is the target of an injected extra redirect.
+        let url = req.url.to_string();
+        let request_bytes = url.len() + req.body.len();
 
         // Phase 1 (global lock): DNS + one RNG draw that seeds this
         // request's private stream. Exactly one draw per dispatch keeps the
@@ -183,7 +186,7 @@ impl Network {
                         at: inner.clock.now(),
                         requester: requester.to_string(),
                         method: req.method,
-                        url: req.url.to_string(),
+                        url,
                         status: None,
                         latency: inner.dns_latency,
                         request_bytes,
@@ -249,7 +252,7 @@ impl Network {
                                 // Bounce the client through the same URL once
                                 // more; combined with heavy-tail latency this
                                 // reproduces the paper's "slow redirect links".
-                                Response::redirect(&req.url.to_string())
+                                Response::redirect(&url)
                             }
                         };
                         let status = resp.status;
@@ -282,7 +285,7 @@ impl Network {
             at: clock.now(),
             requester: requester.to_string(),
             method: req.method,
-            url: req.url.to_string(),
+            url,
             status,
             latency,
             request_bytes,

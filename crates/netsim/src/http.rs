@@ -7,6 +7,7 @@
 
 use crate::error::NetError;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -359,9 +360,7 @@ impl Request {
     /// Read a header (key lookup is case-insensitive because keys are stored
     /// lowercased).
     pub fn header(&self, key: &str) -> Option<&str> {
-        self.headers
-            .get(&key.to_ascii_lowercase())
-            .map(String::as_str)
+        header_lookup(&self.headers, key)
     }
 }
 
@@ -423,17 +422,28 @@ impl Response {
         self
     }
 
-    /// Read a header.
+    /// Read a header (case-insensitive key).
     pub fn header(&self, key: &str) -> Option<&str> {
-        self.headers
-            .get(&key.to_ascii_lowercase())
-            .map(String::as_str)
+        header_lookup(&self.headers, key)
     }
 
-    /// Body as UTF-8 text (lossy).
-    pub fn text(&self) -> String {
-        String::from_utf8_lossy(&self.body).into_owned()
+    /// Body as UTF-8 text (lossy). Borrows the body when it is valid
+    /// UTF-8 — every body the simulated sites serve — so reading a page
+    /// copies nothing.
+    pub fn text(&self) -> Cow<'_, str> {
+        String::from_utf8_lossy(&self.body)
     }
+}
+
+/// Look `key` up in a lowercased header map, lowercasing a copy of the key
+/// only when it has an uppercase letter.
+fn header_lookup<'h>(headers: &'h BTreeMap<String, String>, key: &str) -> Option<&'h str> {
+    let value = if key.bytes().any(|b| b.is_ascii_uppercase()) {
+        headers.get(&key.to_ascii_lowercase())
+    } else {
+        headers.get(key)
+    };
+    value.map(String::as_str)
 }
 
 #[cfg(test)]

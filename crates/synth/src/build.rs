@@ -125,16 +125,20 @@ pub(crate) fn mount_world(plan: &WorldPlan, config: &EcosystemConfig) -> Ecosyst
     let github = GitHubSite::new();
     github.mount(&net);
 
+    // Both directories put a captcha wall in front of long crawl sessions
+    // (and Discord's OAuth gate is captcha-walled too), so every world
+    // mounts the solver. Mounting draws no randomness.
+    CaptchaSolverService::mount(&net);
     let telegram = match config.platform {
         PlatformKind::Discord => {
             // Discord-style install flow: a captcha-walled OAuth gate.
-            CaptchaSolverService::mount(&net);
             OAuthWebGate::new(platform.clone()).mount(&net);
             platform.set_least_privilege_delivery(config.least_privilege_delivery);
             None
         }
         PlatformKind::Telegram => {
-            // Telegram-style install flow: deep links, no captcha wall.
+            // Telegram-style install flow: deep links, no captcha wall on
+            // the install itself.
             let tg = TgPlatform::new(clock);
             DeepLinkGate::new(tg.clone()).mount(&net);
             Some(tg)
@@ -653,13 +657,13 @@ mod tests {
             // Valid listings point at t.sim, either directly (with the
             // requested rights echoed in the deep link) or via the slow
             // redirector; never at a Discord OAuth gate.
-            let page = client
+            let resp = client
                 .get(netsim::Url::https(
                     TELEGRAM_LIST_HOST,
                     &format!("/bot/{}", bot.client_id),
                 ))
-                .unwrap()
-                .text();
+                .unwrap();
+            let page = resp.text();
             let username = telegram_username(&bot.name);
             assert!(
                 page.contains(&format!("t.sim/{username}?startgroup=true"))

@@ -91,7 +91,8 @@ fn consent_screen_matches_scraped_permissions() {
             netsim::ClientConfig::impolite("human-browser"),
         );
         let url = Url::parse(&bot.scraped.invite_link).expect("parses");
-        let page = client.get(url).expect("reachable").text();
+        let resp = client.get(url).expect("reachable");
+        let page = resp.text();
         for name in permissions.names() {
             assert!(
                 page.contains(name),

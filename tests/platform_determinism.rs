@@ -14,12 +14,15 @@
 //! 3. Crawl counters namespace per platform (`crawl.discord.*` /
 //!    `crawl.telegram.*`) without perturbing the legacy aggregate names.
 
-use chatbot_audit::{platform_breakdown, Audit, AuditJob, FleetConfig, FleetService, PlatformKind};
+use chatbot_audit::{
+    platform_breakdown, Audit, AuditConfig, AuditJob, AuditPipeline, FleetConfig, FleetService,
+    PlatformKind,
+};
 use obs::{JsonRecorder, Obs};
 use sched::JobSpec;
 use std::sync::Arc;
 use store::MemBackend;
-use synth::DriftConfig;
+use synth::{build_ecosystem, DriftConfig, EcosystemConfig};
 
 const BOTS: usize = 50;
 
@@ -221,8 +224,7 @@ fn crawl_counters_namespace_per_platform_across_one_fleet() {
 
 /// A Telegram audit with the directory's defenses on crawls the whole
 /// listing, at any worker count. The directory grants each requester
-/// identity `captcha_every` (200) requests before its captcha wall, and a
-/// Telegram world mounts no captcha solver, so the wall cannot be passed.
+/// identity `captcha_every` (200) requests before its captcha wall.
 /// A crawl that walked the listing and every detail page on one long
 /// session ran that identity out of its allowance part-way (8 list pages +
 /// 200 detail pages here), and the rest of the listing came back as crawl
@@ -251,6 +253,44 @@ fn defended_telegram_audit_crawls_every_bot_at_any_worker_count() {
     assert_eq!(
         serde_json::to_string(&run(2)).unwrap(),
         serde_json::to_string(&serial).unwrap(),
+        "workers=2 report diverged from serial"
+    );
+}
+
+/// A Telegram directory whose captcha wall sits below the crawl unit size
+/// (100 < 128 requests per session) walls every detail unit part-way; the
+/// crawl must solve its way through, as it does on Discord, and lose no
+/// listing entry at any worker count.
+#[test]
+fn telegram_crawl_passes_a_captcha_wall_below_the_unit_size() {
+    const SCALE: usize = 300;
+    let eco = EcosystemConfig {
+        platform: PlatformKind::Telegram,
+        num_bots: SCALE,
+        captcha_every: Some(100),
+        ..EcosystemConfig::default()
+    };
+    let run = |workers: usize| {
+        let mut config = AuditConfig {
+            honeypot_sample: 6,
+            workers,
+            ..AuditConfig::default()
+        };
+        config.crawl.platform = PlatformKind::Telegram;
+        config.crawl.list_host = platform::TELEGRAM_LIST_HOST.to_string();
+        config.honeypot.workers = workers;
+        AuditPipeline::new(config).run_full(&build_ecosystem(&eco))
+    };
+    let serial = run(1);
+    assert_eq!(serial.bots.len(), SCALE, "every listed bot is crawled");
+    assert_eq!(serial.crawl_stats.failures, 0, "no listing entry is lost");
+    assert!(
+        serial.crawl_stats.captchas_solved > 0,
+        "the crawl met the wall and solved it"
+    );
+    assert_eq!(
+        run(2).canonical_json(),
+        serial.canonical_json(),
         "workers=2 report diverged from serial"
     );
 }
